@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import __version__, coherent, duality, frame_io, frames, perturbation
-from .errors import GFrameError, ParseError, SchemaError
+from .errors import GFrameError, ParseError, SchemaError, UsageError
 from .linalg import TOL_EQ, fro
 
 EXIT_OK = 0
@@ -25,11 +25,22 @@ EXIT_NUMERICAL = 3
 
 
 def parse_complex(text: str) -> complex:
-    """Accept both 1+2i and 1+2j spellings."""
+    """Accept both 1+2i and 1+2j spellings; reject non-finite values."""
     try:
-        return complex(text.replace("i", "j").replace(" ", ""))
+        value = complex(text.replace("i", "j").replace(" ", ""))
     except ValueError as exc:
         raise ParseError(f"bad complex literal {text!r}") from exc
+    if not np.isfinite(value):
+        raise ParseError(f"complex literal {text!r} is not finite")
+    return value
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors as UsageError, so they leave as JSON like every
+    other input error."""
+
+    def error(self, message):
+        raise UsageError(f"{self.prog}: {message}")
 
 
 class ReportBuilder:
@@ -74,9 +85,23 @@ def _bounds_dict(b):
     return dataclasses.asdict(b)
 
 
-def _random_unit(rng, n):
-    f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    return f / np.linalg.norm(f)
+def _random_units(rng, n, count):
+    """`count` random unit vectors of C^n as the columns of an n x count
+    matrix.  Vector i takes draws 2ni..2ni+2n-1 of the stream, real parts
+    first, as successive calls drawing n real then n imaginary parts do."""
+    g = rng.standard_normal((count, 2, n))
+    f = g[:, 0] + 1j * g[:, 1]
+    return (f / np.linalg.norm(f, axis=1, keepdims=True)).T
+
+
+def _energies(T, F):
+    """Analysis energies ||T f||^2 of each column f of F."""
+    return np.sum(np.abs(T @ F) ** 2, axis=0)
+
+
+def _worst(excess):
+    """Largest violation of a sampled inequality, 0 when none is violated."""
+    return max(0.0, float(np.max(excess)))
 
 
 def run_classify(args, report, frame, name):
@@ -85,11 +110,9 @@ def run_classify(args, report, frame, name):
     report.set("classification", _classification_dict(cls))
     report.set("bounds", _bounds_dict(bounds))
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.samples):
-        f = _random_unit(rng, frame.hilbert_dim)
-        e = sum(float(np.linalg.norm(B @ f) ** 2) for B in frame.blocks)
-        worst = max(worst, bounds.lower - e, e - bounds.upper)
+    F = _random_units(rng, frame.hilbert_dim, args.samples)
+    e = _energies(frames.analysis(frame).matrix, F)
+    worst = _worst(np.maximum(bounds.lower - e, e - bounds.upper))
     report.add_check("frame_inequality_sampling", worst <= 1e-9, worst, 1e-9)
 
 
@@ -112,7 +135,7 @@ def run_dual(args, report, frame, name):
 
 def run_alt_dual(args, report, frame, name):
     rng = np.random.default_rng(args.seed)
-    g0 = _random_unit(rng, frame.hilbert_dim)
+    g0 = _random_units(rng, frame.hilbert_dim, 1)[:, 0]
     alt = duality.construct_alternate_dual(frame, g0, seed=args.seed)
     can = frames.canonical_dual(frame, tol_eq=args.tol)
     ok = frames.check_dual_pair(frame, alt, tol_eq=max(args.tol, 1e-9))
@@ -120,11 +143,10 @@ def run_alt_dual(args, report, frame, name):
                      max(args.tol, 1e-9))
     diff = max(fro(A - C) for A, C in zip(alt.blocks, can.blocks))
     report.add_check("differs_from_canonical", diff > 1e-6, diff, 1e-6)
-    worst = 0.0
-    for _ in range(args.samples):
-        f = _random_unit(rng, frame.hilbert_dim)
-        ncan, _, nalt = duality.dual_norm_decomposition(frame, alt, f)
-        worst = max(worst, ncan - nalt)
+    F = _random_units(rng, frame.hilbert_dim, args.samples)
+    ncan = _energies(frames.analysis(can).matrix, F)
+    nalt = _energies(frames.analysis(alt).matrix, F)
+    worst = _worst(ncan - nalt)
     report.add_check("canonical_minimality", worst <= 1e-10, worst, 1e-10)
     report.add_check(
         "gram_distinguishes_canonical",
@@ -140,16 +162,11 @@ def run_perturb(args, report, frame, other, name):
     rep = perturbation.optimal_M(frame, other)
     report.set("perturbation", dataclasses.asdict(rep))
     rng = np.random.default_rng(args.seed)
-    worst = 0.0
-    for _ in range(args.samples):
-        f = _random_unit(rng, frame.hilbert_dim)
-        num = sum(float(np.linalg.norm((B - C) @ f) ** 2)
-                  for B, C in zip(frame.blocks, other.blocks))
-        den = min(
-            sum(float(np.linalg.norm(B @ f) ** 2) for B in frame.blocks),
-            sum(float(np.linalg.norm(C @ f) ** 2) for C in other.blocks),
-        )
-        worst = max(worst, num - rep.m_opt * den)
+    F = _random_units(rng, frame.hilbert_dim, args.samples)
+    TF = frames.analysis(frame).matrix
+    TG = frames.analysis(other).matrix
+    den = np.minimum(_energies(TF, F), _energies(TG, F))
+    worst = _worst(_energies(TF - TG, F) - rep.m_opt * den)
     report.add_check("m_opt_dominates_sampling", worst <= 1e-8, worst, 1e-8)
     slack = rep.guaranteed_lower - rep.actual_lower
     report.add_check("guaranteed_lower_bound", slack <= 1e-9, slack, 1e-9)
@@ -208,7 +225,7 @@ def emit(doc, args):
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gframe",
         description="Operator-frame toolkit: classification, duality, "
                     "perturbation and coherent-state suites.",
@@ -218,8 +235,10 @@ def build_parser():
 
     def common(p, nfiles=1):
         p.add_argument("files", nargs=nfiles, help="frame-spec file(s)")
+        # a string default goes through `type`, so a bad GFRAME_TOL is a
+        # usage error at parse time rather than a crash while building
         p.add_argument("--tol", type=float,
-                       default=float(os.environ.get("GFRAME_TOL", TOL_EQ)),
+                       default=os.environ.get("GFRAME_TOL", TOL_EQ),
                        help="equality tolerance (env GFRAME_TOL)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--samples", type=int, default=200)
@@ -251,9 +270,13 @@ def build_parser():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
+        if args.samples < 1:
+            # an empty sample would pass every sampling check vacuously
+            raise UsageError(f"--samples must be positive, got {args.samples}")
+        if not 0.0 < args.tol < np.inf:
+            raise UsageError(f"--tol must be positive and finite, got {args.tol}")
         loaded = []
         for path in args.files:
             try:
@@ -263,7 +286,7 @@ def main(argv=None) -> int:
                       file=sys.stderr)
                 return EXIT_INPUT_ERROR
             loaded.append((frame, meta.get("name", os.path.basename(path))))
-    except (ParseError, SchemaError) as exc:
+    except (ParseError, SchemaError, UsageError) as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)
         return EXIT_INPUT_ERROR

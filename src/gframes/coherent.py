@@ -4,15 +4,15 @@ The two-index Fock space is spanned by the columns t_k^(l) = theta_l† e_k,
 arranged as an n x (K*L) matrix with column index l*K + k.  Coherent states
 are the Gaussian-weighted double power series over these columns, truncated
 at K levels per block and L blocks; the discarded mass (the truncation
-defect) is computed exactly from regularized incomplete gamma ratios.
+defect) is computed exactly as a Poisson tail.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaincc
-from scipy.special import roots_laguerre
+from numpy.polynomial.laguerre import laggauss
 
 from . import linalg
 from .errors import (
@@ -79,11 +79,35 @@ class BicoherentFamily:
     truncation_defect: float
 
 
+def _poisson_tails(x: float, m: int) -> np.ndarray:
+    """Discarded masses sum_{j>k} e^{-x} x^j / j! for k = 0..m-1.
+
+    Only the terms within 40 standard deviations of the mean x, and up to
+    60 past m, are summed: the rest add up to less than e^-800 of the total,
+    so every tail below the kept range is 1 and the work is O(m + sqrt(x)).
+    Each term is exp(j ln x - x - ln j!), its exponent carried as a
+    cumulative sum of ln(x / j) so that neither x^j nor j! overflows.
+    Summing from the far end keeps the relative accuracy of a small tail,
+    which 1 minus a sum close to 1 would lose.
+    """
+    if x == 0.0:
+        return np.zeros(m)
+    tails = np.ones(m)
+    spread = 40.0 * np.sqrt(x)
+    lo = int(max(x - spread, 0.0)) if np.isfinite(x) else m
+    if lo >= m:
+        return tails
+    hi = int(max(m, x + spread)) + 60
+    first = lo * np.log(x) - x - math.lgamma(lo + 1)
+    log_terms = np.cumsum(np.concatenate(([first], np.log(x / np.arange(lo + 1.0, hi)))))
+    upper = np.cumsum(np.exp(log_terms)[::-1])[::-1]   # upper[i]: sum over j >= lo + i
+    tails[lo:] = np.minimum(upper[1:m - lo + 1], 1.0)
+    return tails
+
+
 def tail_mass(m: int, x: float) -> float:
     """Discarded probability mass 1 - e^{-x} sum_{k<=m} x^k / k!."""
-    if x == 0.0:
-        return 0.0
-    return float(1.0 - gammaincc(m + 1, x))
+    return float(_poisson_tails(x, m + 1)[-1])
 
 
 def truncation_defect(z: complex, w: complex, K: int, L: int) -> float:
@@ -96,10 +120,8 @@ def truncation_defect(z: complex, w: complex, K: int, L: int) -> float:
 def required_truncation(z: complex, w: complex, defect_max: float):
     """Smallest (K, L) meeting the defect budget, split evenly."""
     def smallest(x):
-        m = 1
-        while tail_mass(m - 1, x) > defect_max / 2.0 and m < 100_000:
-            m += 1
-        return m
+        ok = np.flatnonzero(_poisson_tails(x, 99_999) <= defect_max / 2.0)
+        return int(ok[0]) + 1 if ok.size else 100_000
 
     return smallest(abs(z) ** 2), smallest(abs(w) ** 2)
 
@@ -185,7 +207,7 @@ def _radial_angular_gram(m: int, radial_nodes: int, angular_nodes: int) -> np.nd
     trigonometric polynomial of degree < 2m - 1 in phi.  The exact value is
     the identity (moments delta_{km} k!).
     """
-    u, wu = roots_laguerre(radial_nodes)
+    u, wu = laggauss(radial_nodes)
     phis = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
     G = np.zeros((m, m), dtype=np.complex128)
     for ui, wi in zip(u, wu):
@@ -273,9 +295,7 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
         raise NonUniformBlocks(f"block dimensions {dims} are not uniform")
 
     S = frame_operator(riesz)
-    X = linalg.herm_func(S, "sqrt")
-    X_inv = linalg.herm_func(S, "inv_sqrt")
-    S_inv = linalg.herm_func(S, "inverse")
+    X, X_inv, S_inv = linalg.herm_funcs(S, ("sqrt", "inv_sqrt", "inverse"))
     gon = riesz.map_blocks(lambda B: B @ X_inv)
     fs = build_fock(gon, tol_eq=max(tol_eq, 1e-9))
 
@@ -287,11 +307,10 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
             required_k=kr, required_l=lr,
         )
 
+    # X is Hermitian, so X† = X and (X†)^{-1} = X^{-1}
     C = fs.basis_columns
-    Xd = X.conj().T
-    Xd_inv = np.linalg.inv(Xd)
-    U_cols = Xd @ C
-    V_cols = S_inv @ Xd @ C
+    U_cols = X @ C
+    V_cols = S_inv @ X @ C
     P_cols = X_inv @ C
 
     c = coefficient_vector(z, w, fs.K, fs.L)
@@ -302,11 +321,11 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
         phi=U_cols @ c,
         phi_dual=V_cols @ c,
         phi_up=P_cols @ c,
-        a_riesz=Xd @ a @ Xd_inv,
-        a_dual=S_inv @ Xd @ a @ Xd_inv @ S,
+        a_riesz=X @ a @ X_inv,
+        a_dual=S_inv @ X @ a @ X_inv @ S,
         a_up=X_inv @ a @ X,
-        b_riesz=Xd @ b @ Xd_inv,
-        b_dual=S_inv @ Xd @ b @ Xd_inv @ S,
+        b_riesz=X @ b @ X_inv,
+        b_dual=S_inv @ X @ b @ X_inv @ S,
         b_up=X_inv @ b @ X,
         u_columns=U_cols,
         v_columns=V_cols,

@@ -109,3 +109,9 @@ class ParseError(GFrameError):
 
 class SchemaError(GFrameError):
     """Input document is well formed but violates the frame-spec schema."""
+
+
+# -- command line -------------------------------------------------------------
+
+class UsageError(GFrameError):
+    """Command-line arguments are malformed or out of range."""

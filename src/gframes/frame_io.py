@@ -30,7 +30,10 @@ def _entry(value, where):
             or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                        for v in value)):
         raise SchemaError(f"{where}: complex entry must be a [re, im] pair")
-    return complex(float(value[0]), float(value[1]))
+    try:
+        return complex(float(value[0]), float(value[1]))
+    except OverflowError as exc:
+        raise SchemaError(f"{where}: integer entry exceeds binary64") from exc
 
 
 def parse_spec(text: str) -> tuple:
@@ -74,6 +77,10 @@ def parse_spec(text: str) -> tuple:
                 raise SchemaError(f"{where}.matrix[{r}]: expected {n} entries")
             for c, v in enumerate(row):
                 M[r, c] = _entry(v, f"{where}.matrix[{r}][{c}]")
+        # json.loads reads NaN, Infinity and overflowing literals as
+        # non-finite floats
+        if not np.isfinite(M).all():
+            raise SchemaError(f"{where}: entries must be finite")
         blocks.append(M)
 
     metadata = doc.get("metadata", {})

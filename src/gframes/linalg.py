@@ -58,24 +58,35 @@ def herm_eig(M, tol_herm: float = TOL_HERM):
     return w, Q
 
 
-def herm_func(M, kind: str, tol_pd: float = TOL_PD) -> np.ndarray:
-    """Apply inverse, sqrt or inv_sqrt to a Hermitian positive-definite matrix
-    through its spectrum."""
+_SPECTRAL = {
+    "inverse": lambda w: 1.0 / w,
+    "sqrt": np.sqrt,
+    "inv_sqrt": lambda w: 1.0 / np.sqrt(w),
+}
+
+
+def herm_funcs(M, kinds, tol_pd: float = TOL_PD) -> tuple:
+    """Apply each of inverse, sqrt or inv_sqrt to a Hermitian positive-definite
+    matrix through its spectrum; one eigendecomposition serves them all."""
+    unknown = [k for k in kinds if k not in _SPECTRAL]
+    if unknown:
+        raise ValueError(f"unknown spectral function(s) {unknown!r}")
     w, Q = herm_eig(M)
     if w[0] <= tol_pd * max(w[-1], 0.0):
         raise NotPositiveDefinite(
             f"spectral floor {w[0]:.3e} below {tol_pd:.1e} * {w[-1]:.3e}"
         )
-    if kind == "inverse":
-        fw = 1.0 / w
-    elif kind == "sqrt":
-        fw = np.sqrt(w)
-    elif kind == "inv_sqrt":
-        fw = 1.0 / np.sqrt(w)
-    else:
-        raise ValueError(f"unknown spectral function {kind!r}")
-    out = (Q * fw) @ Q.conj().T
-    return (out + out.conj().T) / 2.0
+    out = []
+    for kind in kinds:
+        F = (Q * _SPECTRAL[kind](w)) @ Q.conj().T
+        out.append((F + F.conj().T) / 2.0)
+    return tuple(out)
+
+
+def herm_func(M, kind: str, tol_pd: float = TOL_PD) -> np.ndarray:
+    """Apply inverse, sqrt or inv_sqrt to a Hermitian positive-definite matrix
+    through its spectrum."""
+    return herm_funcs(M, (kind,), tol_pd=tol_pd)[0]
 
 
 def range_projector(M, tol_rank: float = TOL_RANK) -> np.ndarray:

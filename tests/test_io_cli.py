@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -42,6 +45,19 @@ class TestParseSpec:
         with pytest.raises(ParseError) as exc:
             frame_io.parse_spec("{not json")
         assert "line" in str(exc.value)
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_entry_rejected(self, literal):
+        text = ('{"hilbert_dim": 2, "blocks": [{"rows": 1, "matrix": '
+                f'[[[1, 0], [0, {literal}]]]}}]}}')
+        with pytest.raises(SchemaError, match="finite"):
+            frame_io.parse_spec(text)
+
+    def test_oversized_integer_entry_rejected(self):
+        text = ('{"hilbert_dim": 1, "blocks": [{"rows": 1, "matrix": '
+                f'[[[1{"0" * 400}, 0]]]}}]}}')
+        with pytest.raises(SchemaError):
+            frame_io.parse_spec(text)
 
     def test_string_complex_rejected(self):
         doc = {"hilbert_dim": 1,
@@ -124,6 +140,86 @@ class TestCli:
         assert cli.parse_complex("0.5-0.25j") == 0.5 - 0.25j
         with pytest.raises(ParseError):
             cli.parse_complex("one")
+        for text in ("nan", "1e400", "1+nanj"):
+            with pytest.raises(ParseError):
+                cli.parse_complex(text)
+
+    @staticmethod
+    def assert_input_error(code, capsys, error):
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == error
+
+    def test_bad_complex_label_is_input_error(self, gon_path, capsys):
+        for label in ("abc", "nan"):
+            code = cli.main(["coherent", gon_path, f"--z={label}"])
+            self.assert_input_error(code, capsys, "ParseError")
+
+    def test_non_finite_spec_is_input_error(self, tmp_path, capsys):
+        p = tmp_path / "nan.frame"
+        p.write_text('{"hilbert_dim": 1, "blocks": [{"rows": 1, "matrix": [[[NaN, 0]]]}]}')
+        self.assert_input_error(cli.main(["classify", str(p)]), capsys, "SchemaError")
+
+    def test_bad_env_tolerance_is_input_error(self, mercedes_path, capsys,
+                                              monkeypatch):
+        monkeypatch.setenv("GFRAME_TOL", "x")
+        self.assert_input_error(cli.main(["classify", mercedes_path]), capsys,
+                                "UsageError")
+        # an explicit --tol does not read the environment
+        assert cli.main(["classify", mercedes_path, "--tol", "1e-9"]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"]["tolerance"] == 1e-9
+
+    @pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+    def test_bad_tolerance_is_input_error(self, mercedes_path, capsys, tol):
+        code = cli.main(["classify", mercedes_path, f"--tol={tol}"])
+        self.assert_input_error(code, capsys, "UsageError")
+
+    def test_env_tolerance_is_used(self, mercedes_path, capsys, monkeypatch):
+        monkeypatch.setenv("GFRAME_TOL", "1e-9")
+        assert cli.main(["classify", mercedes_path]) == 0
+        assert json.loads(capsys.readouterr().out)["provenance"]["tolerance"] == 1e-9
+
+    @pytest.mark.parametrize("command", ["classify", "alt-dual", "all"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_empty_sample_is_input_error(self, mercedes_path, capsys, command,
+                                         samples):
+        code = cli.main([command, mercedes_path, f"--samples={samples}"])
+        self.assert_input_error(code, capsys, "UsageError")
+
+    def test_usage_errors_are_json(self, capsys):
+        self.assert_input_error(cli.main(["bogus"]), capsys, "UsageError")
+        self.assert_input_error(cli.main(["classify"]), capsys, "UsageError")
+
+    def test_batched_draws_match_successive_draws(self):
+        n, count = 5, 50
+        rng = np.random.default_rng(3)
+        batch = cli._random_units(rng, n, count)
+        ref = np.random.default_rng(3)
+        for i in range(count):
+            f = ref.standard_normal(n) + 1j * ref.standard_normal(n)
+            # the norms are summed in another order: a few ulps apart
+            np.testing.assert_allclose(batch[:, i], f / np.linalg.norm(f),
+                                       rtol=0, atol=1e-15)
+        assert rng.standard_normal() == ref.standard_normal()
+
+    def test_batched_energies_match_blockwise(self, rng):
+        F = random_frame(rng, 4, (2, 1, 3))
+        X = cli._random_units(rng, 4, 20)
+        e = cli._energies(gf.analysis(F).matrix, X)
+        for i in range(20):
+            ref = sum(np.linalg.norm(B @ X[:, i]) ** 2 for B in F.blocks)
+            assert e[i] == pytest.approx(ref, rel=1e-13)
+
+    def test_import_leaves_scipy_out(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(gf.__file__)))
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import gframes.cli, sys; assert 'scipy' not in sys.modules"],
+            env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
     def test_missing_file_is_input_error(self, capsys):
         assert cli.main(["classify", "/nonexistent.frame"]) == 2

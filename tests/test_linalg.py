@@ -75,9 +75,18 @@ class TestHermFunc:
         out = a @ b @ b @ a
         assert np.linalg.norm(out - np.eye(4)) <= 1e-9
 
+    def test_several_functions_match_single_ones(self, rng):
+        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        S = X.conj().T @ X + 0.1 * np.eye(4)
+        kinds = ("sqrt", "inv_sqrt", "inverse")
+        for kind, out in zip(kinds, linalg.herm_funcs(S, kinds)):
+            np.testing.assert_array_equal(out, linalg.herm_func(S, kind))
+
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             linalg.herm_func(np.diag([1.0, -1.0]), "sqrt")
+        with pytest.raises(NotPositiveDefinite):
+            linalg.herm_funcs(np.diag([1.0, -1.0]), ("sqrt", "inverse"))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
