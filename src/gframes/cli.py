@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, coherent, duality, frame_io, frames, perturbation
 from .errors import GFrameError, ParseError, SchemaError, UsageError
-from .linalg import TOL_EQ, fro
+from .linalg import TOL_EQ, fro, random_units
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -85,15 +85,6 @@ def _bounds_dict(b):
     return dataclasses.asdict(b)
 
 
-def _random_units(rng, n, count):
-    """`count` random unit vectors of C^n as the columns of an n x count
-    matrix.  Vector i takes draws 2ni..2ni+2n-1 of the stream, real parts
-    first, as successive calls drawing n real then n imaginary parts do."""
-    g = rng.standard_normal((count, 2, n))
-    f = g[:, 0] + 1j * g[:, 1]
-    return (f / np.linalg.norm(f, axis=1, keepdims=True)).T
-
-
 def _energies(T, F):
     """Analysis energies ||T f||^2 of each column f of F."""
     return np.sum(np.abs(T @ F) ** 2, axis=0)
@@ -110,7 +101,7 @@ def run_classify(args, report, frame, name):
     report.set("classification", _classification_dict(cls))
     report.set("bounds", _bounds_dict(bounds))
     rng = np.random.default_rng(args.seed)
-    F = _random_units(rng, frame.hilbert_dim, args.samples)
+    F = random_units(rng, frame.hilbert_dim, args.samples)
     e = _energies(frames.analysis(frame).matrix, F)
     worst = _worst(np.maximum(bounds.lower - e, e - bounds.upper))
     report.add_check("frame_inequality_sampling", worst <= 1e-9, worst, 1e-9)
@@ -133,9 +124,9 @@ def run_dual(args, report, frame, name):
         frame_io.save(args.emit, dual, {"name": f"{name}-canonical-dual"})
 
 
-def run_alt_dual(args, report, frame, name):
+def run_alt_dual(args, report, frame, name, emit=True):
     rng = np.random.default_rng(args.seed)
-    g0 = _random_units(rng, frame.hilbert_dim, 1)[:, 0]
+    g0 = random_units(rng, frame.hilbert_dim, 1)[:, 0]
     alt = duality.construct_alternate_dual(frame, g0, seed=args.seed)
     can = frames.canonical_dual(frame, tol_eq=args.tol)
     ok = frames.check_dual_pair(frame, alt, tol_eq=max(args.tol, 1e-9))
@@ -143,7 +134,7 @@ def run_alt_dual(args, report, frame, name):
                      max(args.tol, 1e-9))
     diff = max(fro(A - C) for A, C in zip(alt.blocks, can.blocks))
     report.add_check("differs_from_canonical", diff > 1e-6, diff, 1e-6)
-    F = _random_units(rng, frame.hilbert_dim, args.samples)
+    F = random_units(rng, frame.hilbert_dim, args.samples)
     ncan = _energies(frames.analysis(can).matrix, F)
     nalt = _energies(frames.analysis(alt).matrix, F)
     worst = _worst(ncan - nalt)
@@ -154,7 +145,7 @@ def run_alt_dual(args, report, frame, name):
         and not duality.gram_characterization(frame, alt, can),
         0.0, args.tol,
     )
-    if args.emit:
+    if emit and args.emit:
         frame_io.save(args.emit, alt, {"name": f"{name}-alternate-dual"})
 
 
@@ -162,7 +153,7 @@ def run_perturb(args, report, frame, other, name):
     rep = perturbation.optimal_M(frame, other)
     report.set("perturbation", dataclasses.asdict(rep))
     rng = np.random.default_rng(args.seed)
-    F = _random_units(rng, frame.hilbert_dim, args.samples)
+    F = random_units(rng, frame.hilbert_dim, args.samples)
     TF = frames.analysis(frame).matrix
     TG = frames.analysis(other).matrix
     den = np.minimum(_energies(TF, F), _energies(TG, F))
@@ -275,6 +266,9 @@ def main(argv=None) -> int:
         if args.samples < 1:
             # an empty sample would pass every sampling check vacuously
             raise UsageError(f"--samples must be positive, got {args.samples}")
+        if args.seed < 0:
+            # numpy's generators take only non-negative seeds
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         if not 0.0 < args.tol < np.inf:
             raise UsageError(f"--tol must be positive and finite, got {args.tol}")
         loaded = []
@@ -308,7 +302,8 @@ def main(argv=None) -> int:
             run_classify(args, report, frame, name)
             run_dual(args, report, frame, name)
             if not frames.classify(frame, tol_eq=args.tol).is_riesz_basis:
-                run_alt_dual(args, report, frame, name)
+                # --emit names the canonical dual, written by run_dual
+                run_alt_dual(args, report, frame, name, emit=False)
     except GFrameError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)

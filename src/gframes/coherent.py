@@ -231,7 +231,7 @@ def coefficient_quadrature(K: int, L: int, radial_nodes: int,
             required_radial=need_rad, required_angular=need_ang,
         )
     Gz = _radial_angular_gram(K, radial_nodes, angular_nodes)
-    Gw = _radial_angular_gram(L, radial_nodes, angular_nodes)
+    Gw = Gz if L == K else _radial_angular_gram(L, radial_nodes, angular_nodes)
     return np.kron(Gw, Gz)
 
 

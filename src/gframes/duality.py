@@ -12,7 +12,7 @@ import numpy as np
 from . import frames
 from .errors import IsRieszBasis, NotADual, ShapeMismatch, ZeroProbe
 from .frames import GFrame, analysis, canonical_dual, check_dual_pair, classify
-from .linalg import TOL_EQ, TOL_RANK, fro, range_projector
+from .linalg import TOL_EQ, TOL_RANK, fro, projector_gap, range_basis
 
 PROJECTOR_TOL = 1e-8  # looser than TOL_EQ: two SVDs compound error
 
@@ -20,18 +20,23 @@ PROJECTOR_TOL = 1e-8  # looser than TOL_EQ: two SVDs compound error
 def kernel_vector(F: GFrame, seed: int = 0, tol_rank: float = TOL_RANK) -> np.ndarray:
     """Unit vector orthogonal to the analysis range, deterministically chosen.
 
-    Taken from the left singular vectors of the stacked operator beyond its
-    numerical rank; `seed` selects among them when the cokernel has dimension
-    greater than one.  The vector is re-signed so its first nonzero entry is
-    real positive, making the construction reproducible.
+    A complex Gaussian vector drawn from `default_rng(seed)` (seed >= 0) has
+    its component in the range removed by projecting out an orthonormal range
+    basis from the thin SVD, twice, which restores orthogonality to working
+    precision ("twice is enough").  Cost and memory are O(m n) for m stacked
+    rows.  The vector is re-signed so its first nonzero entry is real
+    positive.
     """
     T = analysis(F).matrix
-    U, s, _ = np.linalg.svd(T, full_matrices=True)
-    rank = int(np.sum(s > tol_rank * s[0])) if s.size and s[0] > 0 else 0
-    coker = T.shape[0] - rank
-    if coker <= 0:
+    U = range_basis(T, tol_rank=tol_rank)
+    m = T.shape[0]
+    if U.shape[1] >= m:
         raise IsRieszBasis("analysis operator is surjective; no kernel vector")
-    v = U[:, rank + (seed % coker)].copy()
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    for _ in range(2):
+        v -= U @ (U.conj().T @ v)
+    v /= np.linalg.norm(v)
     idx = int(np.argmax(np.abs(v) > 1e-12))
     phase = v[idx] / abs(v[idx])
     v = v / phase
@@ -74,16 +79,17 @@ def check_similar(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ,
     """Invertible X with F_j = G_j X for all j, or None.
 
     Two frames are similar exactly when their analysis operators have the
-    same range; the range test compares orthogonal projectors, then X is
-    recovered by least squares on the stacked systems and verified blockwise.
+    same range; the range test measures the distance of the orthogonal
+    projectors from orthonormal range bases, then X is recovered by least
+    squares on the stacked systems and verified blockwise.
     """
     if not F.same_shape(G):
         raise ShapeMismatch("similarity check needs identical block shapes")
     TF = analysis(F).matrix
     TG = analysis(G).matrix
-    PF = range_projector(TF)
-    PG = range_projector(TG)
-    if fro(PF - PG) > tol_proj * max(1.0, fro(PF)):
+    UF = range_basis(TF)
+    # ||P_F||_F = sqrt(rank F)
+    if projector_gap(UF, range_basis(TG)) > tol_proj * max(1.0, np.sqrt(UF.shape[1])):
         return None
     X, *_ = np.linalg.lstsq(TG, TF, rcond=None)
     for Bf, Bg in zip(F.blocks, G.blocks):

@@ -14,6 +14,7 @@ and round-trips binary64 exactly through shortest-repr decimals.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 import numpy as np
 
@@ -34,6 +35,36 @@ def _entry(value, where):
         return complex(float(value[0]), float(value[1]))
     except OverflowError as exc:
         raise SchemaError(f"{where}: integer entry exceeds binary64") from exc
+
+
+def _walk_block(mat, n, where) -> np.ndarray:
+    """Entry-by-entry read of a block; raises naming the first bad entry."""
+    M = np.empty((len(mat), n), dtype=np.complex128)
+    for r, row in enumerate(mat):
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"{where}.matrix[{r}]: expected {n} entries")
+        for c, v in enumerate(row):
+            M[r, c] = _entry(v, f"{where}.matrix[{r}][{c}]")
+    return M
+
+
+def _bulk_block(mat, n):
+    """The block read in one conversion, or None when some row or entry is
+    malformed (then `_walk_block` finds and names it)."""
+    if not all(type(row) is list and len(row) == n for row in mat):
+        return None
+    pairs = list(chain.from_iterable(mat))
+    if not all(type(v) is list and len(v) == 2 for v in pairs):
+        return None
+    # bool is a subclass of int, and is excluded by the exact type test
+    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
+        return None
+    try:
+        P = np.array(pairs, dtype=np.float64)
+    except OverflowError:
+        return None
+    # each contiguous (re, im) row of P is one complex128
+    return P.view(np.complex128).reshape(len(mat), n)
 
 
 def parse_spec(text: str) -> tuple:
@@ -71,12 +102,9 @@ def parse_spec(text: str) -> tuple:
         mat = blk["matrix"]
         if not isinstance(mat, list) or len(mat) != rows:
             raise SchemaError(f"{where}: matrix must have exactly {rows} rows")
-        M = np.empty((rows, n), dtype=np.complex128)
-        for r, row in enumerate(mat):
-            if not isinstance(row, list) or len(row) != n:
-                raise SchemaError(f"{where}.matrix[{r}]: expected {n} entries")
-            for c, v in enumerate(row):
-                M[r, c] = _entry(v, f"{where}.matrix[{r}][{c}]")
+        M = _bulk_block(mat, n)
+        if M is None:
+            M = _walk_block(mat, n, where)
         # json.loads reads NaN, Infinity and overflowing literals as
         # non-finite floats
         if not np.isfinite(M).all():
@@ -95,22 +123,41 @@ def parse_spec(text: str) -> tuple:
     return GFrame(n, tuple(blocks)), dict(metadata)
 
 
+# json.dumps(doc, indent=2, sort_keys=True) lays a block out as below; its
+# matrix text is written directly, with the float.__repr__ json uses for
+# finite floats, because the pure-Python encoder that indent selects costs
+# about a microsecond per number
+_BLOCK_HEAD = '    {\n      "matrix": [\n        [\n          [\n            '
+_IN_PAIR = ",\n" + " " * 12
+_NEXT_PAIR = "\n" + " " * 10 + "],\n" + " " * 10 + "[\n" + " " * 12
+_NEXT_ROW = ("\n" + " " * 10 + "]\n" + " " * 8 + "],\n" + " " * 8 + "[\n"
+             + " " * 10 + "[\n" + " " * 12)
+_BLOCK_TAIL = ("\n" + " " * 10 + "]\n" + " " * 8 + "]\n" + " " * 6 + "],\n"
+               + " " * 6 + '"rows": {}\n    }}')
+
+
+def _block_text(B: np.ndarray) -> str:
+    d, n = B.shape
+    numbers = map(float.__repr__, np.stack([B.real, B.imag], -1).ravel().tolist())
+    row_seps = [_IN_PAIR, _NEXT_PAIR] * n
+    row_seps[-1] = _NEXT_ROW
+    seps = row_seps * d
+    seps[-1] = _BLOCK_TAIL.format(d)
+    return _BLOCK_HEAD + "".join(chain.from_iterable(zip(numbers, seps)))
+
+
 def serialize(frame: GFrame, metadata: dict | None = None) -> str:
-    """Write a frame back to its document form; parse(serialize(F)) == F."""
-    doc = {
-        "hilbert_dim": frame.hilbert_dim,
-        "blocks": [
-            {
-                "rows": B.shape[0],
-                "matrix": [[[float(v.real), float(v.imag)] for v in row]
-                           for row in B],
-            }
-            for B in frame.blocks
-        ],
-    }
+    """Write a frame back to its document form; parse(serialize(F)) == F.
+
+    The text is json.dumps(doc, indent=2, sort_keys=True) of the document
+    plus a newline, byte for byte."""
+    rest = {"hilbert_dim": frame.hilbert_dim}
     if metadata:
-        doc["metadata"] = dict(metadata)
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        rest["metadata"] = dict(metadata)
+    # "blocks" sorts first; the skeleton supplies the keys after it
+    tail = json.dumps(rest, indent=2, sort_keys=True)
+    blocks = ",\n".join(map(_block_text, frame.blocks))
+    return '{\n  "blocks": [\n' + blocks + "\n  ],\n" + tail[2:] + "\n"
 
 
 def load(path) -> tuple:

@@ -89,19 +89,31 @@ def herm_func(M, kind: str, tol_pd: float = TOL_PD) -> np.ndarray:
     return herm_funcs(M, (kind,), tol_pd=tol_pd)[0]
 
 
-def range_projector(M, tol_rank: float = TOL_RANK) -> np.ndarray:
-    """Hermitian idempotent projecting onto the column space of M.
+def range_basis(M, tol_rank: float = TOL_RANK) -> np.ndarray:
+    """Orthonormal basis of the column space of M, as the columns of an
+    m x r matrix; the projector onto that space is U U†.
 
     Singular values below tol_rank * sigma_max count as zero.
     """
     A = as_cmatrix(M)
     if min(A.shape) == 0 or not A.any():
-        return np.zeros((A.shape[0], A.shape[0]), dtype=np.complex128)
+        return np.zeros((A.shape[0], 0), dtype=np.complex128)
     U, s, _ = np.linalg.svd(A, full_matrices=False)
     r = int(np.sum(s > tol_rank * s[0]))
-    Ur = U[:, :r]
-    P = Ur @ Ur.conj().T
-    return (P + P.conj().T) / 2.0
+    return U[:, :r]
+
+
+def projector_gap(U, V) -> float:
+    """||U U† - V V†||_F for matrices U and V with orthonormal columns,
+    without forming either m x m projector.
+
+    With P and Q the two projectors, P - Q = P(I - Q) - (I - P)Q and the
+    cross term vanishes, so the square is ||(I - Q)U||^2 + ||(I - P)V||^2:
+    a sum of two nonnegative terms, free of the cancellation in
+    rank P + rank Q - 2 ||V†U||^2.
+    """
+    C = V.conj().T @ U
+    return float(np.hypot(fro(U - V @ C), fro(V - U @ C.conj().T)))
 
 
 def numerical_rank(M, tol_rank: float = TOL_RANK) -> int:
@@ -120,6 +132,15 @@ def check_unitary(U, tol: float = TOL_EQ) -> np.ndarray:
     if fro(A.conj().T @ A - np.eye(n)) > tol * max(1.0, fro(A)):
         raise NotUnitary("U†U deviates from the identity beyond tolerance")
     return A
+
+
+def random_units(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
+    """`count` random unit vectors of C^n as the columns of an n x count
+    matrix.  Vector i takes draws 2ni..2ni+2n-1 of the stream, real parts
+    first, as successive calls drawing n real then n imaginary parts do."""
+    g = rng.standard_normal((count, 2, n))
+    f = g[:, 0] + 1j * g[:, 1]
+    return (f / np.linalg.norm(f, axis=1, keepdims=True)).T
 
 
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:

@@ -111,6 +111,28 @@ def one_sided_M(F: GFrame, G: GFrame, tol_pd: float = linalg.TOL_PD):
     return m3, bF.lower / (2.0 * m3 + 2.0)
 
 
+_SAMPLE_CHUNK = 4096
+
+
+def _sampled_premise(V: np.ndarray, n: float, samples: int, seed: int):
+    """Largest sampled ||f - Vf|| - n ||Vf|| over random unit f, floored at
+    0, with its first maximizer (None when nothing exceeds 0).
+
+    The samples are drawn and evaluated in chunks, each with one product;
+    chunked draws consume the stream of one draw of all samples, and the
+    chunks bound the memory."""
+    rng = np.random.default_rng(seed)
+    best, witness = 0.0, None
+    for start in range(0, samples, _SAMPLE_CHUNK):
+        F = linalg.random_units(rng, V.shape[0], min(_SAMPLE_CHUNK, samples - start))
+        VF = V @ F
+        r = np.linalg.norm(F - VF, axis=0) - n * np.linalg.norm(VF, axis=0)
+        i = int(np.argmax(r))
+        if r[i] > best:
+            best, witness = float(r[i]), F[:, i].copy()
+    return best, witness
+
+
 def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
                   samples: int = 10_000, seed: int = 0,
                   tol: float = 1e-9) -> GavrutaReport:
@@ -125,6 +147,9 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
         raise ValueError("premise requires m < 1")
     if n <= -1.0:
         raise ValueError("premise requires n > -1")
+    if samples < 1:
+        # an empty sample would report the premise as holding untested
+        raise ValueError(f"samples must be positive, got {samples}")
     dim = F.hilbert_dim
     TF = analysis(F).matrix
     TG = analysis(G).matrix
@@ -137,15 +162,7 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
     if n == 0.0:
         m_measured = linalg.opnorm(I - V)
     else:
-        rng = np.random.default_rng(seed)
-        m_measured = 0.0
-        witness = None
-        for _ in range(samples):
-            f = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-            f /= np.linalg.norm(f)
-            r = np.linalg.norm(f - V @ f) - n * np.linalg.norm(V @ f)
-            if r > m_measured:
-                m_measured, witness = float(r), f
+        m_measured, witness = _sampled_premise(V, n, samples, seed)
         if m_measured > m + tol:
             raise PremiseNotVerifiable(
                 f"sampled ratio {m_measured:.6e} exceeds m={m}", witness=witness

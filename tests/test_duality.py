@@ -22,6 +22,18 @@ class TestKernelVector:
         v2 = duality.kernel_vector(mercedes)
         np.testing.assert_array_equal(v1, v2)
 
+    def test_tall_frame_seeded(self, rng):
+        F = random_frame(rng, 8, (1,) * 400)
+        T = analysis(F).matrix
+        v = {seed: duality.kernel_vector(F, seed=seed) for seed in (0, 1)}
+        for seed, u in v.items():
+            assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
+            assert np.linalg.norm(T.conj().T @ u) <= 1e-12
+            np.testing.assert_array_equal(u, duality.kernel_vector(F, seed=seed))
+            # phase convention: the first nonzero entry is real positive
+            assert u[0].real > 0 and abs(u[0].imag) <= 1e-15
+        assert np.linalg.norm(v[0] - v[1]) > 0.1
+
     def test_riesz_has_none(self, rng):
         F = random_gon(rng, 4, (2, 2))
         with pytest.raises(IsRieszBasis):

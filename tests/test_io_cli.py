@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gframes as gf
-from gframes import cli, frame_io
+from gframes import cli, frame_io, linalg
 from gframes.errors import ParseError, SchemaError
 
 from conftest import random_frame
@@ -79,6 +79,70 @@ class TestParseSpec:
         for B, C in zip(F.blocks, G.blocks):
             np.testing.assert_array_equal(B, C)
 
+    @pytest.mark.parametrize("entry, problem", [
+        ("true", "pair"), ('"1"', "pair"), ("[1, 0, 0]", "pair"),
+        ("[1, true]", "pair"), ('[1, "0"]', "pair"),
+        (f'[1{"0" * 400}, 0]', "binary64"),
+    ])
+    def test_malformed_entry_is_named(self, entry, problem):
+        text = ('{"hilbert_dim": 2, "blocks": [{"rows": 1, "matrix": [[[1, 0], [0, 1]]]},'
+                ' {"rows": 2, "matrix": [[[1, 0], [0, 1]], [[2, 0], ' + entry + ']]}]}')
+        with pytest.raises(SchemaError, match=problem) as exc:
+            frame_io.parse_spec(text)
+        assert str(exc.value).startswith("blocks[1].matrix[1][1]: ")
+
+    def test_short_row_is_named(self):
+        text = ('{"hilbert_dim": 2, "blocks": [{"rows": 2, '
+                '"matrix": [[[1, 0], [0, 1]], [[1, 0]]]}]}')
+        with pytest.raises(SchemaError) as exc:
+            frame_io.parse_spec(text)
+        assert str(exc.value) == "blocks[0].matrix[1]: expected 2 entries"
+
+    def test_first_bad_entry_is_named(self):
+        # a bad entry before a short row is reported first, as the entries
+        # are read in order
+        text = ('{"hilbert_dim": 2, "blocks": [{"rows": 2, '
+                '"matrix": [[[1, 0], [false, 1]], [[1, 0]]]}]}')
+        with pytest.raises(SchemaError, match=r"^blocks\[0\]\.matrix\[0\]\[1\]: "):
+            frame_io.parse_spec(text)
+
+    def test_integer_entries_read_exactly(self):
+        big = 2 ** 70 + 1
+        text = ('{"hilbert_dim": 2, "blocks": [{"rows": 1, '
+                f'"matrix": [[[1, -2], [{big}, 0.5]]]}}]}}')
+        F, _ = frame_io.parse_spec(text)
+        np.testing.assert_array_equal(F.blocks[0], [[1 - 2j, float(big) + 0.5j]])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(1, 4),
+        st.lists(st.integers(1, 3), min_size=1, max_size=3),
+        st.data(),
+        st.one_of(st.none(), st.fixed_dictionaries(
+            {"name": st.sampled_from(['x', 'has "matrix": 0 inside',
+                                      '{\n  "blocks": [', 'é\u2028'])},
+            optional={"description": st.text(max_size=8)})),
+    )
+    def test_serialize_matches_json_dumps(self, n, dims, data, metadata):
+        special = st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e+20, 1e-7,
+                                   1.7976931348623157e308, 0.1, -2.5])
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        number = st.one_of(special, finite)
+        blocks = tuple(
+            np.array(data.draw(st.lists(number, min_size=2 * d * n,
+                                        max_size=2 * d * n))).view(np.complex128)
+            .reshape(d, n)
+            for d in dims)
+        F = gf.GFrame(n, blocks)
+        doc = {"hilbert_dim": n,
+               "blocks": [{"rows": B.shape[0],
+                           "matrix": np.stack([B.real, B.imag], -1).tolist()}
+                          for B in blocks]}
+        if metadata:
+            doc["metadata"] = metadata
+        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert frame_io.serialize(F, metadata) == expected
+
     def test_serialize_is_normal_form(self, rng):
         F = random_frame(rng, 3, (2, 2))
         doc = frame_io.serialize(F, {"name": "x"})
@@ -113,6 +177,18 @@ class TestCli:
         dual, _ = frame_io.load(out)
         orig, _ = frame_io.load(mercedes_path)
         assert gf.check_dual_pair(orig, dual)
+
+    def test_all_emits_the_canonical_dual(self, mercedes_path, mercedes,
+                                          tmp_path, capsys):
+        out = tmp_path / "all.frame"
+        assert cli.main(["all", mercedes_path, "--emit", str(out)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "differs_from_canonical" in [c["name"] for c in doc["checks"]]
+        dual, meta = frame_io.load(out)
+        assert meta == {"name": "mercedes-canonical-dual"}
+        assert gf.check_dual_pair(mercedes, dual)
+        for B, C in zip(dual.blocks, gf.canonical_dual(mercedes).blocks):
+            np.testing.assert_allclose(B, C, rtol=0, atol=1e-15)
 
     def test_alt_dual(self, mercedes_path, capsys):
         assert cli.main(["alt-dual", mercedes_path]) == 0
@@ -187,6 +263,11 @@ class TestCli:
         code = cli.main([command, mercedes_path, f"--samples={samples}"])
         self.assert_input_error(code, capsys, "UsageError")
 
+    @pytest.mark.parametrize("command", ["classify", "alt-dual"])
+    def test_negative_seed_is_input_error(self, mercedes_path, capsys, command):
+        code = cli.main([command, mercedes_path, "--seed=-1"])
+        self.assert_input_error(code, capsys, "UsageError")
+
     def test_usage_errors_are_json(self, capsys):
         self.assert_input_error(cli.main(["bogus"]), capsys, "UsageError")
         self.assert_input_error(cli.main(["classify"]), capsys, "UsageError")
@@ -194,7 +275,7 @@ class TestCli:
     def test_batched_draws_match_successive_draws(self):
         n, count = 5, 50
         rng = np.random.default_rng(3)
-        batch = cli._random_units(rng, n, count)
+        batch = linalg.random_units(rng, n, count)
         ref = np.random.default_rng(3)
         for i in range(count):
             f = ref.standard_normal(n) + 1j * ref.standard_normal(n)
@@ -205,7 +286,7 @@ class TestCli:
 
     def test_batched_energies_match_blockwise(self, rng):
         F = random_frame(rng, 4, (2, 1, 3))
-        X = cli._random_units(rng, 4, 20)
+        X = linalg.random_units(rng, 4, 20)
         e = cli._energies(gf.analysis(F).matrix, X)
         for i in range(20):
             ref = sum(np.linalg.norm(B @ X[:, i]) ** 2 for B in F.blocks)

@@ -93,28 +93,61 @@ class TestHermFunc:
             linalg.herm_func(np.eye(2), "exp")
 
 
+def projector(M):
+    """The range projector U U† formed from `range_basis`."""
+    U = linalg.range_basis(M)
+    return U @ U.conj().T
+
+
 class TestRangeProjector:
     def test_zero_matrix(self):
-        P = linalg.range_projector(np.zeros((3, 2)))
+        P = projector(np.zeros((3, 2)))
         assert not P.any()
 
     def test_identity(self):
-        np.testing.assert_allclose(linalg.range_projector(np.eye(3)), np.eye(3),
+        np.testing.assert_allclose(projector(np.eye(3)), np.eye(3),
                                    atol=1e-12)
 
     def test_tall_full_rank_matches_normal_equations(self, rng):
         M = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-        P = linalg.range_projector(M)
+        P = projector(M)
         oracle = M @ np.linalg.inv(M.conj().T @ M) @ M.conj().T
         np.testing.assert_allclose(P, oracle, atol=1e-10)
         assert abs(np.trace(P).real - 2.0) <= 1e-10
 
     def test_idempotent_hermitian_fixes_columns(self, rng):
         M = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
-        P = linalg.range_projector(M)
+        P = projector(M)
         assert np.linalg.norm(P @ P - P) <= 1e-10
         assert np.linalg.norm(P - P.conj().T) <= 1e-10
         assert np.linalg.norm(P @ M - M) <= 1e-10 * np.linalg.norm(M)
+
+
+class TestProjectorGap:
+    @staticmethod
+    def dense_gap(A, B):
+        """||P_A - P_B||_F with both projectors formed from pseudo-inverses."""
+        return np.linalg.norm(A @ np.linalg.pinv(A) - B @ np.linalg.pinv(B))
+
+    @pytest.mark.parametrize("m, n", [(6, 3), (40, 5), (9, 9)])
+    def test_matches_dense_projectors(self, rng, m, n):
+        for _ in range(5):
+            A = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            B = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+            for other in (A @ X, B):   # the same range, and another one
+                gap = linalg.projector_gap(linalg.range_basis(A),
+                                           linalg.range_basis(other))
+                assert abs(gap - self.dense_gap(A, other)) <= 1e-12
+
+    def test_nested_ranges_of_unequal_rank(self, rng):
+        G = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
+        A = G @ rng.standard_normal((2, 4))
+        B = np.hstack([G, rng.standard_normal((7, 2))])
+        gap = linalg.projector_gap(linalg.range_basis(A), linalg.range_basis(B))
+        assert abs(gap - self.dense_gap(A, B)) <= 1e-12
+        # P_B - P_A projects onto a 2-dim complement
+        assert gap == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
 
 def test_random_unitary_is_unitary(rng):

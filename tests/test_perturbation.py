@@ -128,6 +128,42 @@ class TestGavruta:
         rep = gf.gavruta_check(mercedes, G, m=0.0, n=0.1, samples=500)
         assert rep.premise_holds
 
+    @pytest.mark.parametrize("samples", [1, 700, 5000])
+    def test_sampling_matches_per_sample_loop(self, rng, samples):
+        F = random_frame(rng, 4, (2, 2, 1))
+        G = gf.canonical_dual(F).map_blocks(
+            lambda B: B + 0.05 * (rng.standard_normal(B.shape)
+                                  + 1j * rng.standard_normal(B.shape)))
+        V = gf.analysis(F).matrix.conj().T @ gf.analysis(G).matrix
+        # n < 0 keeps every residual positive, so each sample competes
+        n, seed = -0.5, 8
+        ref = np.random.default_rng(seed)
+        m_ref, witness, where = 0.0, None, None
+        for k in range(samples):
+            f = ref.standard_normal(4) + 1j * ref.standard_normal(4)
+            f /= np.linalg.norm(f)
+            r = np.linalg.norm(f - V @ f) - n * np.linalg.norm(V @ f)
+            if r > m_ref:
+                m_ref, witness, where = float(r), f, k
+        # of 5000 samples the last quarter holds the maximizer, so an
+        # evaluation in batches must search every batch
+        assert samples < 5000 or where > 4096
+        rep = gf.gavruta_check(F, G, m=0.99, n=n, samples=samples, seed=seed)
+        assert m_ref > 0.4
+        assert abs(rep.m_measured - m_ref) <= 1e-12
+        # the same witness: a refuting m makes the check raise with it
+        with pytest.raises(PremiseNotVerifiable) as exc:
+            gf.gavruta_check(F, G, m=m_ref - 1e-6, n=n, samples=samples,
+                             seed=seed)
+        np.testing.assert_allclose(exc.value.witness, witness, rtol=0,
+                                   atol=1e-15)
+
+    def test_empty_sample_rejected(self, mercedes):
+        G = mercedes.map_blocks(lambda B: (2.0 / 3.0) * 1.1 * B)
+        for samples in (0, -5):
+            with pytest.raises(ValueError):
+                gf.gavruta_check(mercedes, G, m=0.0, n=0.1, samples=samples)
+
     def test_premise_refuted(self, mercedes):
         G = mercedes.map_blocks(lambda B: 3.0 * B)
         with pytest.raises(PremiseNotVerifiable) as exc:
