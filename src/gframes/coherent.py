@@ -5,6 +5,10 @@ arranged as an n x (K*L) matrix with column index l*K + k.  Coherent states
 are the Gaussian-weighted double power series over these columns, truncated
 at K levels per block and L blocks; the discarded mass (the truncation
 defect) is computed exactly as a Poisson tail.
+
+The column matrix C is unitary and the ladder maps are banded shifts on the
+coefficient index, so operators and moments are formed in coefficient space:
+each ladder operator is one product of shifted columns with C†.
 """
 from __future__ import annotations
 
@@ -14,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial.laguerre import laggauss
 
-from . import linalg
 from .errors import (
     InsufficientNodes,
     NonUniformBlocks,
@@ -22,8 +25,8 @@ from .errors import (
     NotRieszBasis,
     TruncationTooSevere,
 )
-from .frames import GFrame, classify, frame_operator
-from .linalg import TOL_EQ
+from .frames import GFrame, analysis
+from .linalg import TOL_EQ, TOL_PD, TOL_RANK, fro
 
 
 @dataclass(frozen=True)
@@ -60,7 +63,8 @@ class BicoherentFamily:
     """Coherent triple over a Riesz operator basis: the state over the Riesz
     columns, over their dual columns, and over the inverse-factor columns
     (the latter two coincide), plus the similarity-transformed ladder
-    operators acting as lowering maps on each column family."""
+    operators acting as lowering maps on each column family.  The coinciding
+    dual and inverse-factor fields hold the same arrays."""
 
     phi: np.ndarray        # series over u_k^(l) = X† t_k^(l)
     phi_dual: np.ndarray   # series over v_k^(l) = S^{-1} X† t_k^(l)
@@ -126,14 +130,12 @@ def required_truncation(z: complex, w: complex, defect_max: float):
     return smallest(abs(z) ** 2), smallest(abs(w) ** 2)
 
 
-def _series_weights(z: complex, m: int) -> np.ndarray:
-    """Coefficients z^k / sqrt(k!) for k = 0..m-1."""
-    out = np.empty(m, dtype=np.complex128)
-    c = 1.0 + 0.0j
-    for k in range(m):
-        out[k] = c
-        c = c * z / np.sqrt(k + 1.0)
-    return out
+def _series_weights(z, m: int) -> np.ndarray:
+    """Coefficients z^k / sqrt(k!) for k = 0..m-1, along a new last axis when
+    z is an array, as the running product of the factors z / sqrt(k)."""
+    z = np.asarray(z, dtype=np.complex128)[..., None]
+    steps = z / np.sqrt(np.arange(1.0, m))
+    return np.cumprod(np.concatenate((np.ones_like(z), steps), axis=-1), axis=-1)
 
 
 def coefficient_vector(z: complex, w: complex, K: int, L: int) -> np.ndarray:
@@ -145,17 +147,43 @@ def coefficient_vector(z: complex, w: complex, K: int, L: int) -> np.ndarray:
     return norm * np.kron(beta, alpha)
 
 
+def _is_on_basis(C: np.ndarray, K: int, tol_eq: float) -> bool:
+    """Whether the Fock columns C (n x K*L) come from an orthonormal operator
+    basis, read from the Grams C†C and C C† with no decomposition.
+
+    Block (j, k) of C†C is theta_j theta_k†, held to the per-block rule of
+    `classify`: ||G_jk - delta_jk I||_F <= tol_eq * max(1, ||G_jk||_F).
+    C C† is the frame operator, held to ||S - I||_F <= tol_eq * max(1, n).
+    """
+    n, m = C.shape
+    J = m // K
+    G = C.conj().T @ C
+    G4 = G.reshape(J, K, J, K)
+    scale = np.linalg.norm(np.einsum("jajb->jab", G4), axis=(1, 2))
+    G.flat[::m + 1] -= 1.0
+    err = np.sqrt(np.einsum("jakb,jakb->jk", G4.real, G4.real)
+                  + np.einsum("jakb,jakb->jk", G4.imag, G4.imag))
+    ref = err.copy()
+    ref[np.diag_indices(J)] = scale
+    if np.any(err > tol_eq * np.maximum(1.0, ref)):
+        return False
+    del G, G4
+    S = C @ C.conj().T
+    S.flat[::n + 1] -= 1.0
+    return fro(S) <= tol_eq * max(1.0, float(n))
+
+
 def build_fock(gon: GFrame, tol_eq: float = TOL_EQ) -> FockStructure:
     """Arrange an orthonormal operator basis with uniform block dimension K
     into the two-index Fock column matrix."""
     dims = gon.block_dims
     if len(set(dims)) != 1:
         raise NonUniformBlocks(f"block dimensions {dims} are not uniform")
-    if not classify(gon, tol_eq=tol_eq).is_on_basis:
-        raise NotOnBasis("build_fock requires an orthonormal operator basis")
     K = dims[0]
     L = len(dims)
     cols = np.hstack([B.conj().T for B in gon.blocks])
+    if not _is_on_basis(cols, K, tol_eq):
+        raise NotOnBasis("build_fock requires an orthonormal operator basis")
     return FockStructure(K=K, L=L, basis_columns=cols, source=gon)
 
 
@@ -177,24 +205,29 @@ def coherent_state(fs: FockStructure, z: complex, w: complex,
                          truncation_defect=defect)
 
 
-def _coefficient_lowering(K: int, L: int):
-    """Lowering matrices on the coefficient space: in-level index k and
-    block index l.  The top level maps to zero (projection onto the
-    truncated space)."""
-    a1 = np.diag(np.sqrt(np.arange(1, K)), 1).astype(np.complex128)
-    b1 = np.diag(np.sqrt(np.arange(1, L)), 1).astype(np.complex128)
-    a = np.kron(np.eye(L), a1)
-    b = np.kron(b1, np.eye(K))
-    return a, b
+def _lower(M: np.ndarray, K: int, L: int, axis: str) -> np.ndarray:
+    """M ã for the truncated lowering map ã on the coefficient index l*K + k,
+    applied along the last axis of M in O(size of M).
+
+    Entry l*K + k of the result is sqrt(k) times entry l*K + k-1 of M (axis
+    "a") or sqrt(l) times entry (l-1)*K + k (axis "b"); the bottom level is
+    zero.  On the Fock columns C, M ã C† is the lowering operator itself; on
+    a row of coefficients c it gives (ã† c)^T, the raised coefficients.
+    """
+    index = np.arange(K * L)
+    step, level = (1, index % K) if axis == "a" else (K, index // K)
+    out = np.zeros_like(M)
+    np.multiply(M[..., :K * L - step], np.sqrt(level[step:]), out=out[..., step:])
+    return out
 
 
 def ladder_ops(fs: FockStructure) -> LadderPair:
     """Commuting lowering pair acting on the ambient space, built columnwise
     from sqrt(k) and sqrt(l) shifts on the Fock columns."""
-    a_c, b_c = _coefficient_lowering(fs.K, fs.L)
     C = fs.basis_columns
     Cd = C.conj().T
-    return LadderPair(a=C @ a_c @ Cd, b=C @ b_c @ Cd)
+    return LadderPair(a=_lower(C, fs.K, fs.L, "a") @ Cd,
+                      b=_lower(C, fs.K, fs.L, "b") @ Cd)
 
 
 def _radial_angular_gram(m: int, radial_nodes: int, angular_nodes: int) -> np.ndarray:
@@ -209,13 +242,9 @@ def _radial_angular_gram(m: int, radial_nodes: int, angular_nodes: int) -> np.nd
     """
     u, wu = laggauss(radial_nodes)
     phis = 2.0 * np.pi * np.arange(angular_nodes) / angular_nodes
-    G = np.zeros((m, m), dtype=np.complex128)
-    for ui, wi in zip(u, wu):
-        r = np.sqrt(ui)
-        for phi in phis:
-            alpha = _series_weights(r * np.exp(1j * phi), m)
-            G += (wi / angular_nodes) * np.outer(alpha, alpha.conj())
-    return G
+    A = _series_weights(np.outer(np.sqrt(u), np.exp(1j * phis)).ravel(), m)
+    w = np.repeat(wu / angular_nodes, angular_nodes)
+    return A.T @ (w[:, None] * A.conj())
 
 
 def coefficient_quadrature(K: int, L: int, radial_nodes: int,
@@ -259,21 +288,24 @@ def uncertainty_product(fs: FockStructure, z: complex, w: complex,
     observables of the lowering pair, evaluated on the truncated state.
     Both converge to 1/2 as the defect vanishes."""
     state = coherent_state(fs, z, w, defect_max=defect_max)
-    ops = ladder_ops(fs)
+    c = fs.basis_columns.conj().T @ state.vector
+    index = np.arange(fs.K * fs.L)
+    power = np.abs(c) ** 2
 
-    def product(low):
-        high = low.conj().T
-        q = (low + high) / np.sqrt(2.0)
-        p = (low - high) / (np.sqrt(2.0) * 1j)
-        out = []
-        for Xop in (q, p):
-            v = state.vector
-            mean = np.vdot(v, Xop @ v).real
-            second = np.vdot(v, Xop @ (Xop @ v)).real
-            out.append(np.sqrt(max(second - mean ** 2, 0.0)))
-        return out[0] * out[1]
+    def product(axis, level):
+        # q = (a + a†)/sqrt2 and p = (a - a†)/(sqrt2 i) with a = C ã C†; on
+        # c = C† v, r = ã† c gives <a> = <r, c> and <a^2> = <ã† r, c>, and
+        # <a a†> + <a† a> = ||r||^2 + sum_k k |c_k|^2
+        r = _lower(c, fs.K, fs.L, axis)
+        first = np.vdot(r, c)
+        second = np.vdot(_lower(r, fs.K, fs.L, axis), c).real
+        both = np.vdot(r, r).real + float(level @ power)
+        var_q = (both + 2.0 * second) / 2.0 - 2.0 * first.real ** 2
+        var_p = (both - 2.0 * second) / 2.0 - 2.0 * first.imag ** 2
+        return np.sqrt(max(var_q, 0.0)) * np.sqrt(max(var_p, 0.0))
 
-    return float(product(ops.a)), float(product(ops.b))
+    return (float(product("a", index % fs.K)),
+            float(product("b", index // fs.K)))
 
 
 def bicoherent_family(riesz: GFrame, z: complex, w: complex,
@@ -281,22 +313,27 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
                       tol_eq: float = TOL_EQ) -> BicoherentFamily:
     """Coherent triple over a Riesz operator basis.
 
-    The similarity factor is recovered canonically as the Hermitian square
-    root of the frame operator (polar choice, unitary part fixed to the
-    identity), and the underlying orthonormal basis as the blocks composed
-    with its inverse.  The dual and inverse-factor column families coincide,
-    so the dual and "up" states collapse to one set.
+    Everything comes from one thin SVD T = W Σ V† of the stacked blocks.  The
+    similarity factor is the Hermitian square root X = V Σ V† of the frame
+    operator (polar choice, unitary part fixed to the identity), and the
+    underlying orthonormal basis is T X^{-1} = W V†, the polar factor of T,
+    orthonormal to round-off however ill-conditioned T is.  With C = V W†,
+    the Riesz columns are X C = T† and the dual and inverse-factor columns
+    S^{-1} X C and X^{-1} C are both V Σ^{-1} W†, so the dual and "up"
+    states and operators collapse to one set.
     """
-    cls = classify(riesz, tol_eq=tol_eq)
-    if not cls.is_riesz_basis:
+    T = analysis(riesz).matrix
+    W, s, Vh = np.linalg.svd(T, full_matrices=False)
+    n = riesz.hilbert_dim
+    is_frame = s.size == n and s[-1] ** 2 > TOL_PD * s[0] ** 2
+    if not (is_frame and int(np.sum(s > TOL_RANK * s[0])) == riesz.total_dim):
         raise NotRieszBasis("bicoherent_family requires a Riesz operator basis")
     dims = riesz.block_dims
     if len(set(dims)) != 1:
         raise NonUniformBlocks(f"block dimensions {dims} are not uniform")
 
-    S = frame_operator(riesz)
-    X, X_inv, S_inv = linalg.herm_funcs(S, ("sqrt", "inv_sqrt", "inverse"))
-    gon = riesz.map_blocks(lambda B: B @ X_inv)
+    polar = W @ Vh
+    gon = GFrame(n, tuple(np.split(polar, len(dims))))
     fs = build_fock(gon, tol_eq=max(tol_eq, 1e-9))
 
     defect = truncation_defect(z, w, fs.K, fs.L)
@@ -307,28 +344,33 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
             required_k=kr, required_l=lr,
         )
 
-    # X is Hermitian, so X† = X and (X†)^{-1} = X^{-1}
-    C = fs.basis_columns
-    U_cols = X @ C
-    V_cols = S_inv @ X @ C
-    P_cols = X_inv @ C
+    V = Vh.conj().T
+    U_cols = T.conj().T
+    P_cols = (V / s) @ W.conj().T
+    X = (V * s) @ Vh
+    K, L = fs.K, fs.L
+    # X a X^{-1} = U ã P† and X^{-1} a X = P ã U†, since X is Hermitian
+    P_adj = P_cols.conj().T
+    a_riesz = _lower(U_cols, K, L, "a") @ P_adj
+    b_riesz = _lower(U_cols, K, L, "b") @ P_adj
+    del P_adj
+    a_up = _lower(P_cols, K, L, "a") @ T
+    b_up = _lower(P_cols, K, L, "b") @ T
 
-    c = coefficient_vector(z, w, fs.K, fs.L)
-    ops = ladder_ops(fs)
-    a, b = ops.a, ops.b
-
+    c = coefficient_vector(z, w, K, L)
+    phi_up = P_cols @ c
     return BicoherentFamily(
         phi=U_cols @ c,
-        phi_dual=V_cols @ c,
-        phi_up=P_cols @ c,
-        a_riesz=X @ a @ X_inv,
-        a_dual=S_inv @ X @ a @ X_inv @ S,
-        a_up=X_inv @ a @ X,
-        b_riesz=X @ b @ X_inv,
-        b_dual=S_inv @ X @ b @ X_inv @ S,
-        b_up=X_inv @ b @ X,
+        phi_dual=phi_up,
+        phi_up=phi_up,
+        a_riesz=a_riesz,
+        a_dual=a_up,
+        a_up=a_up,
+        b_riesz=b_riesz,
+        b_dual=b_up,
+        b_up=b_up,
         u_columns=U_cols,
-        v_columns=V_cols,
+        v_columns=P_cols,
         p_columns=P_cols,
         x_factor=X,
         fock=fs,

@@ -153,8 +153,9 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
     dim = F.hilbert_dim
     TF = analysis(F).matrix
     TG = analysis(G).matrix
-    B1 = frame_bounds(F).upper
-    B2 = frame_bounds(G).upper
+    bF = frame_bounds(F)
+    bG = frame_bounds(G)
+    B1, B2 = bF.upper, bG.upper
     V = TF.conj().T @ TG
     I = np.eye(dim)
     norm_v = linalg.opnorm(V)
@@ -181,7 +182,7 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
         norm_v=norm_v,
         norm_v_bound=float(np.sqrt(B1 * B2)),
         guaranteed_lower_theta=guaranteed_theta,
-        actual_lower_theta=frame_bounds(G).lower,
+        actual_lower_theta=bG.lower,
         guaranteed_lower_lambda=guaranteed_lambda,
-        actual_lower_lambda=frame_bounds(F).lower,
+        actual_lower_lambda=bF.lower,
     )

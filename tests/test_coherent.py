@@ -11,7 +11,7 @@ from gframes.errors import (
     NotRieszBasis,
     TruncationTooSevere,
 )
-from gframes.linalg import fro
+from gframes.linalg import TOL_EQ, fro, random_unitary
 
 from conftest import random_gon, random_riesz
 
@@ -34,6 +34,14 @@ def factorized_oracle(fs, z, w):
         chi = np.array([z ** k / np.sqrt(factorial(k)) for k in range(fs.K)])
         v += (w ** l / np.sqrt(factorial(l))) * (B.conj().T @ chi)
     return v / np.linalg.norm(v)
+
+
+def dense_lowering(K, L):
+    """The lowering pair on the coefficient index l*K + k as dense
+    Kronecker products: sqrt(k) on the level, sqrt(l) on the block."""
+    a1 = np.diag(np.sqrt(np.arange(1, K)), 1)
+    b1 = np.diag(np.sqrt(np.arange(1, L)), 1)
+    return np.kron(np.eye(L), a1), np.kron(b1, np.eye(K))
 
 
 class TestBuildFock:
@@ -65,6 +73,56 @@ class TestBuildFock:
         gon = random_gon(rng, 5, (2, 3))
         with pytest.raises(NonUniformBlocks):
             gf.build_fock(gon)
+
+    def test_gram_rule_agrees_with_classify(self, rng, mercedes):
+        def agree(F, tol_eq=TOL_EQ):
+            expected = gf.classify(F, tol_eq=tol_eq).is_on_basis
+            C = np.hstack([B.conj().T for B in F.blocks])
+            assert coherent._is_on_basis(C, F.block_dims[0], tol_eq) == expected
+            if expected:
+                gf.build_fock(F, tol_eq=tol_eq)
+            else:
+                with pytest.raises(NotOnBasis):
+                    gf.build_fock(F, tol_eq=tol_eq)
+            return expected
+
+        for n, dims in [(1, (1,)), (6, (2, 2, 2)), (12, (3,) * 4), (16, (4,) * 4)]:
+            assert agree(random_gon(rng, n, dims))
+        # non-square families: an orthonormal set that is not a basis
+        # (S != I), a Parseval frame that is not an orthonormal set (S = I),
+        # and the Mercedes frame
+        assert not agree(gf.GFrame(4, random_gon(rng, 4, (2, 2)).blocks[:1]))
+        isometry = random_unitary(6, rng)[:, :4]
+        assert not agree(gf.GFrame(4, tuple(np.split(isometry, 3))))
+        assert not agree(mercedes)
+        # perturbed bases just inside and just outside the tolerance: the
+        # deviation is linear in the perturbation, so scale it to sit at
+        # 0.8 and 1.25 times the threshold of the default tolerance.  A
+        # random direction, and a rescaled first block, where the rule on
+        # the diagonal blocks binds
+        for n, dims, rescale in [(6, (2, 2, 2), False), (9, (3, 3, 3), False),
+                                 (8, (1,) * 8, False), (9, (3, 3, 3), True)]:
+            gon = random_gon(rng, n, dims)
+            E = [rng.standard_normal(B.shape) + 1j * rng.standard_normal(B.shape)
+                 for B in gon.blocks]
+            if rescale:
+                E = [gon.blocks[0]] + [0.0 * B for B in gon.blocks[1:]]
+
+            def perturbed(eps):
+                return gf.GFrame(n, tuple(B + eps * D
+                                          for B, D in zip(gon.blocks, E)))
+
+            eps0 = 1e-6
+            lo, hi = 0.0, 1.0   # bisect the tolerance at which eps0 passes
+            for _ in range(60):
+                mid = (lo + hi) / 2
+                if gf.classify(perturbed(eps0), tol_eq=mid).is_on_basis:
+                    hi = mid
+                else:
+                    lo = mid
+            slope = hi / eps0
+            assert agree(perturbed(0.8 * TOL_EQ / slope))
+            assert not agree(perturbed(1.25 * TOL_EQ / slope))
 
 
 class TestTruncationDefect:
@@ -201,6 +259,15 @@ class TestLadderOps:
         st = gf.coherent_state(fs, 0, 0)
         assert np.linalg.norm(gf.ladder_ops(fs).a @ st.vector) <= 1e-13
 
+    def test_matches_dense_kron_formula(self, rng):
+        for n, dims in [(12, (3,) * 4), (12, (4,) * 3), (5, (5,)), (4, (1,) * 4)]:
+            fs = gf.build_fock(random_gon(rng, n, dims))
+            a_c, b_c = dense_lowering(fs.K, fs.L)
+            C = fs.basis_columns
+            ops = gf.ladder_ops(fs)
+            np.testing.assert_allclose(ops.a, C @ a_c @ C.conj().T, atol=1e-13)
+            np.testing.assert_allclose(ops.b, C @ b_c @ C.conj().T, atol=1e-13)
+
     def test_eigen_relation_residual_matches_series_bound(self, rng):
         # residual of a Phi - z Phi is |z| times the mass on the top level
         fs = gf.build_fock(gf.make_gon_basis(25, tuple([25])))
@@ -281,6 +348,31 @@ class TestUncertainty:
         pa, pb = gf.uncertainty_product(fs, 1.0, 0.0)
         assert abs(pa - 0.5) <= 1e-8
         assert abs(pb - 0.5) <= 1e-8
+
+    def test_matches_dense_moments(self, rng):
+        # the quadrature moments taken from dense q and p on the ambient
+        # space; heavy truncation keeps the products away from 1/2
+        fs = gf.build_fock(random_gon(rng, 30, (6,) * 5))
+        a_c, b_c = dense_lowering(fs.K, fs.L)
+        C = fs.basis_columns
+
+        def dense(low, v):
+            high = low.conj().T
+            q = (low + high) / np.sqrt(2.0)
+            p = (low - high) / (np.sqrt(2.0) * 1j)
+            spread = []
+            for X in (q, p):
+                mean = np.vdot(v, X @ v).real
+                second = np.vdot(v, X @ (X @ v)).real
+                spread.append(np.sqrt(max(second - mean ** 2, 0.0)))
+            return spread[0] * spread[1]
+
+        for z, w in [(0.4 + 0.3j, -0.2 + 0.5j), (1.5, 0.9j), (-1.2 - 0.7j, 1.1)]:
+            v = gf.coherent_state(fs, z, w, defect_max=1.0).vector
+            pa, pb = gf.uncertainty_product(fs, z, w, defect_max=1.0)
+            assert pa == pytest.approx(dense(C @ a_c @ C.conj().T, v), rel=1e-12)
+            assert pb == pytest.approx(dense(C @ b_c @ C.conj().T, v), rel=1e-12)
+        assert abs(pa - 0.5) > 1e-3 and abs(pb - 0.5) > 1e-3
 
     def test_truncation_rejected(self, rng):
         fs = gf.build_fock(random_gon(rng, 4, (2, 2)))
@@ -365,6 +457,55 @@ class TestBicoherent:
         S = gf.frame_operator(riesz)
         X = fam.x_factor
         assert fro(S @ np.linalg.inv(X) - X.conj().T) <= 1e-9
+
+    def test_columns_against_frame_operator(self, rng):
+        # oracles from S = T†T and its eigendecomposition, not from the SVD
+        riesz, _ = random_riesz(rng, 12, (3, 3, 3, 3))
+        fam = gf.bicoherent_family(riesz, 0.2, 0.1, defect_max=1.0)
+        T = np.vstack(riesz.blocks)
+        S = gf.frame_operator(riesz)
+        np.testing.assert_allclose(fam.u_columns, T.conj().T, atol=1e-13)
+        dual = np.linalg.solve(S, fam.u_columns)
+        assert fro(fam.v_columns - dual) <= 1e-10 * fro(dual)
+        assert fro(fam.p_columns - dual) <= 1e-10 * fro(dual)
+        w, Q = np.linalg.eigh(S)
+        X = (Q * np.sqrt(w)) @ Q.conj().T
+        assert fro(fam.x_factor - X) <= 1e-10 * fro(X)
+        C = (T @ np.linalg.solve(X, np.eye(12))).conj().T
+        assert fro(fam.fock.basis_columns - C) <= 1e-10 * fro(C)
+
+    def test_ill_conditioned_riesz_basis(self):
+        # kappa(S) = 5.8e10 is below 1 / TOL_PD, so the basis is Riesz; the
+        # orthonormal basis T S^{-1/2} taken through S loses half the digits
+        # and misses the build_fock tolerance, the polar factor does not
+        rng = np.random.default_rng(0)
+        gon = gf.make_gon_basis(64, (8,) * 8, rotation=random_unitary(64, rng))
+        U, V = random_unitary(64, rng), random_unitary(64, rng)
+        X = (U * np.geomspace(1.0, 2.4e5, 64)) @ V.conj().T
+        riesz = gf.make_griesz(gon, X)
+        assert gf.classify(riesz).is_riesz_basis
+        fam = gf.bicoherent_family(riesz, 0.1, 0.1, defect_max=1.0)
+        assert fro(fam.v_columns.conj().T @ fam.u_columns - np.eye(64)) <= 1e-9
+        C = fam.fock.basis_columns
+        assert fro(C.conj().T @ C - np.eye(64)) <= 1e-12
+
+    def test_riesz_test_agrees_with_classify(self, rng, mercedes):
+        gon = random_gon(rng, 16, (4,) * 4)
+        U, V = random_unitary(16, rng), random_unitary(16, rng)
+        families = [mercedes,
+                    gf.GFrame(4, random_gon(rng, 4, (1,) * 4).blocks[:3]),
+                    gf.GFrame(2, mercedes.blocks[:2] + (np.zeros((1, 2)),))]
+        # cond(S) = 1e8 and 1e10 are Riesz, 1e14 is not
+        for cond_x in (1e4, 1e5, 1e7):
+            X = (U * np.geomspace(1.0, cond_x, 16)) @ V.conj().T
+            families.append(gf.make_griesz(gon, X))
+        for F in families:
+            if gf.classify(F).is_riesz_basis:
+                gf.bicoherent_family(F, 0.0, 0.0)
+            else:
+                with pytest.raises(NotRieszBasis):
+                    gf.bicoherent_family(F, 0.0, 0.0)
+        assert [gf.classify(F).is_riesz_basis for F in families[3:]] == [True, True, False]
 
     def test_rejects_non_riesz(self, mercedes):
         with pytest.raises(NotRieszBasis):

@@ -100,6 +100,24 @@ class TestGavruta:
         assert rep.actual_lower_theta >= rep.guaranteed_lower_theta - 1e-12
         assert rep.actual_lower_lambda >= rep.guaranteed_lower_lambda - 1e-12
 
+    def test_one_eigendecomposition_per_frame(self, rng, monkeypatch):
+        F = random_frame(rng, 4, (2, 2, 1))
+        G = gf.canonical_dual(F)
+        calls = []
+        eigh = np.linalg.eigh
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counted)
+        rep = gf.gavruta_check(F, G, m=1e-10, n=0.0)
+        assert len(calls) == 2
+        assert rep.actual_lower_lambda == gf.frame_bounds(F).lower
+        assert rep.actual_lower_theta == gf.frame_bounds(G).lower
+        assert rep.norm_v_bound == np.sqrt(gf.frame_bounds(F).upper
+                                           * gf.frame_bounds(G).upper)
+
     def test_parseval_self(self):
         F = gf.make_gon_basis(4, (2, 2))
         rep = gf.gavruta_check(F, F, m=1e-12, n=0.0)
