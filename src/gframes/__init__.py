@@ -8,7 +8,6 @@ from .frames import (  # noqa: F401
     Classification,
     FrameBounds,
     GFrame,
-    StackedOperator,
     analysis,
     canonical_dual,
     check_biorthogonal,

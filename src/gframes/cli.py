@@ -102,7 +102,7 @@ def run_classify(args, report, frame, name):
     report.set("bounds", _bounds_dict(bounds))
     rng = np.random.default_rng(args.seed)
     F = random_units(rng, frame.hilbert_dim, args.samples)
-    e = _energies(frames.analysis(frame).matrix, F)
+    e = _energies(frames.analysis(frame), F)
     worst = _worst(np.maximum(bounds.lower - e, e - bounds.upper))
     report.add_check("frame_inequality_sampling", worst <= 1e-9, worst, 1e-9)
 
@@ -135,8 +135,8 @@ def run_alt_dual(args, report, frame, name, emit=True):
     diff = max(fro(A - C) for A, C in zip(alt.blocks, can.blocks))
     report.add_check("differs_from_canonical", diff > 1e-6, diff, 1e-6)
     F = random_units(rng, frame.hilbert_dim, args.samples)
-    ncan = _energies(frames.analysis(can).matrix, F)
-    nalt = _energies(frames.analysis(alt).matrix, F)
+    ncan = _energies(frames.analysis(can), F)
+    nalt = _energies(frames.analysis(alt), F)
     worst = _worst(ncan - nalt)
     report.add_check("canonical_minimality", worst <= 1e-10, worst, 1e-10)
     report.add_check(
@@ -154,8 +154,8 @@ def run_perturb(args, report, frame, other, name):
     report.set("perturbation", dataclasses.asdict(rep))
     rng = np.random.default_rng(args.seed)
     F = random_units(rng, frame.hilbert_dim, args.samples)
-    TF = frames.analysis(frame).matrix
-    TG = frames.analysis(other).matrix
+    TF = frames.analysis(frame)
+    TG = frames.analysis(other)
     den = np.minimum(_energies(TF, F), _energies(TG, F))
     worst = _worst(_energies(TF - TG, F) - rep.m_opt * den)
     report.add_check("m_opt_dominates_sampling", worst <= 1e-8, worst, 1e-8)

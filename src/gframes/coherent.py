@@ -25,8 +25,8 @@ from .errors import (
     NotRieszBasis,
     TruncationTooSevere,
 )
-from .frames import GFrame, analysis
-from .linalg import TOL_EQ, TOL_PD, TOL_RANK, fro
+from .frames import GFrame, _is_on_basis, analysis
+from .linalg import TOL_EQ, TOL_PD, TOL_RANK
 
 
 @dataclass(frozen=True)
@@ -147,32 +147,6 @@ def coefficient_vector(z: complex, w: complex, K: int, L: int) -> np.ndarray:
     return norm * np.kron(beta, alpha)
 
 
-def _is_on_basis(C: np.ndarray, K: int, tol_eq: float) -> bool:
-    """Whether the Fock columns C (n x K*L) come from an orthonormal operator
-    basis, read from the Grams C†C and C C† with no decomposition.
-
-    Block (j, k) of C†C is theta_j theta_k†, held to the per-block rule of
-    `classify`: ||G_jk - delta_jk I||_F <= tol_eq * max(1, ||G_jk||_F).
-    C C† is the frame operator, held to ||S - I||_F <= tol_eq * max(1, n).
-    """
-    n, m = C.shape
-    J = m // K
-    G = C.conj().T @ C
-    G4 = G.reshape(J, K, J, K)
-    scale = np.linalg.norm(np.einsum("jajb->jab", G4), axis=(1, 2))
-    G.flat[::m + 1] -= 1.0
-    err = np.sqrt(np.einsum("jakb,jakb->jk", G4.real, G4.real)
-                  + np.einsum("jakb,jakb->jk", G4.imag, G4.imag))
-    ref = err.copy()
-    ref[np.diag_indices(J)] = scale
-    if np.any(err > tol_eq * np.maximum(1.0, ref)):
-        return False
-    del G, G4
-    S = C @ C.conj().T
-    S.flat[::n + 1] -= 1.0
-    return fro(S) <= tol_eq * max(1.0, float(n))
-
-
 def build_fock(gon: GFrame, tol_eq: float = TOL_EQ) -> FockStructure:
     """Arrange an orthonormal operator basis with uniform block dimension K
     into the two-index Fock column matrix."""
@@ -181,10 +155,10 @@ def build_fock(gon: GFrame, tol_eq: float = TOL_EQ) -> FockStructure:
         raise NonUniformBlocks(f"block dimensions {dims} are not uniform")
     K = dims[0]
     L = len(dims)
-    cols = np.hstack([B.conj().T for B in gon.blocks])
-    if not _is_on_basis(cols, K, tol_eq):
+    T = analysis(gon)
+    if not _is_on_basis(T, dims, tol_eq):
         raise NotOnBasis("build_fock requires an orthonormal operator basis")
-    return FockStructure(K=K, L=L, basis_columns=cols, source=gon)
+    return FockStructure(K=K, L=L, basis_columns=T.conj().T, source=gon)
 
 
 def coherent_state(fs: FockStructure, z: complex, w: complex,
@@ -322,7 +296,7 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
     S^{-1} X C and X^{-1} C are both V Σ^{-1} W†, so the dual and "up"
     states and operators collapse to one set.
     """
-    T = analysis(riesz).matrix
+    T = analysis(riesz)
     W, s, Vh = np.linalg.svd(T, full_matrices=False)
     n = riesz.hilbert_dim
     is_frame = s.size == n and s[-1] ** 2 > TOL_PD * s[0] ** 2

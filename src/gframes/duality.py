@@ -9,12 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import frames
-from .errors import IsRieszBasis, NotADual, ShapeMismatch, ZeroProbe
-from .frames import GFrame, analysis, canonical_dual, check_dual_pair, classify
-from .linalg import TOL_EQ, TOL_RANK, fro, projector_gap, range_basis
+from .errors import IsRieszBasis, NotADual, NotAFrame, ShapeMismatch, ZeroProbe
+from .frames import GFrame, _row_blocks, analysis, canonical_dual, check_dual_pair, classify
+from .linalg import TOL_EQ, TOL_RANK, fro, projector_gap
 
-PROJECTOR_TOL = 1e-8  # looser than TOL_EQ: two SVDs compound error
+PROJECTOR_TOL = 1e-8  # looser than TOL_EQ: two range bases compound error
 
 
 def kernel_vector(F: GFrame, seed: int = 0, tol_rank: float = TOL_RANK) -> np.ndarray:
@@ -22,14 +21,13 @@ def kernel_vector(F: GFrame, seed: int = 0, tol_rank: float = TOL_RANK) -> np.nd
 
     A complex Gaussian vector drawn from `default_rng(seed)` (seed >= 0) has
     its component in the range removed by projecting out an orthonormal range
-    basis from the thin SVD, twice, which restores orthogonality to working
-    precision ("twice is enough").  Cost and memory are O(m n) for m stacked
-    rows.  The vector is re-signed so its first nonzero entry is real
-    positive.
+    basis (from the frame's cached factor), twice, which restores
+    orthogonality to working precision ("twice is enough").  Cost and memory
+    are O(m n) for m stacked rows.  The vector is re-signed so its first
+    nonzero entry is real positive.
     """
-    T = analysis(F).matrix
-    U = range_basis(T, tol_rank=tol_rank)
-    m = T.shape[0]
+    U = F.range_basis(tol_rank)
+    m = F.total_dim
     if U.shape[1] >= m:
         raise IsRieszBasis("analysis operator is surjective; no kernel vector")
     rng = np.random.default_rng(seed)
@@ -54,8 +52,6 @@ def construct_alternate_dual(F: GFrame, g0, seed: int = 0) -> GFrame:
     if cls.is_riesz_basis:
         raise IsRieszBasis("a Riesz operator basis has a unique dual")
     if not cls.is_frame:
-        from .errors import NotAFrame
-
         raise NotAFrame("alternate dual requires a frame")
     g0 = np.asarray(g0, dtype=np.complex128).ravel()
     if g0.shape[0] != F.hilbert_dim:
@@ -64,14 +60,8 @@ def construct_alternate_dual(F: GFrame, g0, seed: int = 0) -> GFrame:
         raise ZeroProbe("probe vector must be nonzero")
 
     kv = kernel_vector(F, seed=seed)
-    dual = canonical_dual(F)
-    stacked = analysis(F)
-    blocks = []
-    for j, B in enumerate(dual.blocks):
-        end = stacked.offsets[j + 1] if j + 1 < len(stacked.offsets) else kv.shape[0]
-        Fj = kv[stacked.offsets[j]:end]
-        blocks.append(B + np.outer(Fj, g0.conj()))
-    return GFrame(F.hilbert_dim, tuple(blocks))
+    T = analysis(canonical_dual(F)) + np.outer(kv, g0.conj())
+    return GFrame(F.hilbert_dim, _row_blocks(T, F.block_dims))
 
 
 def check_similar(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ,
@@ -80,21 +70,31 @@ def check_similar(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ,
 
     Two frames are similar exactly when their analysis operators have the
     same range; the range test measures the distance of the orthogonal
-    projectors from orthonormal range bases, then X is recovered by least
-    squares on the stacked systems and verified blockwise.
+    projectors from orthonormal range bases.  X is then the least-squares
+    solution V_r Sigma_r^{-1} U_r† T_F, with the whitening W = V_r Sigma_r^{-1}
+    from G's cached factor and U_r = T_G W, plus one step of refinement on
+    the residual; it is verified blockwise.  No product squares Sigma or T,
+    so neither can overflow or underflow where T itself does not.
     """
     if not F.same_shape(G):
         raise ShapeMismatch("similarity check needs identical block shapes")
-    TF = analysis(F).matrix
-    TG = analysis(G).matrix
-    UF = range_basis(TF)
+    UF = F.range_basis()
     # ||P_F||_F = sqrt(rank F)
-    if projector_gap(UF, range_basis(TG)) > tol_proj * max(1.0, np.sqrt(UF.shape[1])):
+    if projector_gap(UF, G.range_basis()) > tol_proj * max(1.0, np.sqrt(UF.shape[1])):
         return None
-    X, *_ = np.linalg.lstsq(TG, TF, rcond=None)
-    for Bf, Bg in zip(F.blocks, G.blocks):
-        if fro(Bg @ X - Bf) > tol_eq * max(1.0, fro(Bf)):
-            return None
+    TF, TG = analysis(F), analysis(G)
+    s, Vh = G.spectrum
+    r = G.rank()
+    W = Vh[:r].conj().T / s[:r]
+    Uh = (TG @ W).conj().T
+    X = W @ (Uh @ TF)
+    X -= W @ (Uh @ (TG @ X - TF))
+    # blockwise Frobenius norms through hypot, which cannot overflow
+    starts = np.cumsum((0,) + F.block_dims[:-1])
+    err = np.hypot.reduceat(np.hypot.reduce(np.abs(TG @ X - TF), axis=1), starts)
+    ref = np.hypot.reduceat(np.hypot.reduce(np.abs(TF), axis=1), starts)
+    if not np.all(err <= tol_eq * np.maximum(1.0, ref)):
+        return None
     return X
 
 
@@ -108,8 +108,8 @@ def dual_norm_decomposition(F: GFrame, G: GFrame, f):
     if not check_dual_pair(F, G):
         raise NotADual("G does not reconstruct against F")
     f = np.asarray(f, dtype=np.complex128).ravel()
-    T_can = analysis(canonical_dual(F)).matrix
-    T_G = analysis(G).matrix
+    T_can = analysis(canonical_dual(F))
+    T_G = analysis(G)
     a = T_can @ f
     b = T_G @ f
     return (
@@ -127,8 +127,8 @@ def gram_characterization(F: GFrame, Th: GFrame, G: GFrame,
         raise NotADual("Th does not reconstruct against F")
     if not check_dual_pair(F, G):
         raise NotADual("G does not reconstruct against F")
-    T_Th = analysis(Th).matrix
-    T_G = analysis(G).matrix
+    T_Th = analysis(Th)
+    T_G = analysis(G)
     M1 = T_Th.conj().T @ T_Th
     M2 = T_Th.conj().T @ T_G
     return fro(M1 - M2) <= tol_eq * max(1.0, fro(M1))

@@ -14,12 +14,12 @@ and round-trips binary64 exactly through shortest-repr decimals.
 from __future__ import annotations
 
 import json
-from itertools import chain
+from itertools import chain, repeat
 
 import numpy as np
 
 from .errors import ParseError, SchemaError
-from .frames import GFrame
+from .frames import GFrame, _row_blocks
 
 _TOP_FIELDS = {"hilbert_dim", "blocks", "metadata"}
 _BLOCK_FIELDS = {"rows", "matrix"}
@@ -67,6 +67,38 @@ def _bulk_block(mat, n):
     return P.view(np.complex128).reshape(len(mat), n)
 
 
+def _check_entries(mats, n) -> None:
+    """Read each block entry by entry where needed, in document order;
+    raises naming the first malformed or non-finite entry."""
+    for j, mat in enumerate(mats):
+        where = f"blocks[{j}]"
+        M = _bulk_block(mat, n)
+        if M is None:
+            M = _walk_block(mat, n, where)
+        # json.loads reads NaN, Infinity and overflowing literals as
+        # non-finite floats
+        if not np.isfinite(M).all():
+            raise SchemaError(f"{where}: entries must be finite")
+
+
+def _block_matrix(blk, where) -> list:
+    """The matrix field of one block object, once its structure checks out."""
+    if not isinstance(blk, dict):
+        raise SchemaError(f"{where}: must be an object")
+    unknown = set(blk) - _BLOCK_FIELDS
+    if unknown:
+        raise SchemaError(f"{where}: unknown field(s): {sorted(unknown)}")
+    if "rows" not in blk or "matrix" not in blk:
+        raise SchemaError(f"{where}: rows and matrix are required")
+    rows = blk["rows"]
+    if not isinstance(rows, int) or isinstance(rows, bool) or rows < 1:
+        raise SchemaError(f"{where}: rows must be a positive integer")
+    mat = blk["matrix"]
+    if not isinstance(mat, list) or len(mat) != rows:
+        raise SchemaError(f"{where}: matrix must have exactly {rows} rows")
+    return mat
+
+
 def parse_spec(text: str) -> tuple:
     """Parse a frame-spec document; returns (GFrame, metadata dict)."""
     try:
@@ -86,30 +118,21 @@ def parse_spec(text: str) -> tuple:
     if not isinstance(doc["blocks"], list) or not doc["blocks"]:
         raise SchemaError("blocks must be a nonempty array")
 
-    blocks = []
+    mats = []
     for j, blk in enumerate(doc["blocks"]):
-        where = f"blocks[{j}]"
-        if not isinstance(blk, dict):
-            raise SchemaError(f"{where}: must be an object")
-        unknown = set(blk) - _BLOCK_FIELDS
-        if unknown:
-            raise SchemaError(f"{where}: unknown field(s): {sorted(unknown)}")
-        if "rows" not in blk or "matrix" not in blk:
-            raise SchemaError(f"{where}: rows and matrix are required")
-        rows = blk["rows"]
-        if not isinstance(rows, int) or isinstance(rows, bool) or rows < 1:
-            raise SchemaError(f"{where}: rows must be a positive integer")
-        mat = blk["matrix"]
-        if not isinstance(mat, list) or len(mat) != rows:
-            raise SchemaError(f"{where}: matrix must have exactly {rows} rows")
-        M = _bulk_block(mat, n)
-        if M is None:
-            M = _walk_block(mat, n, where)
-        # json.loads reads NaN, Infinity and overflowing literals as
-        # non-finite floats
-        if not np.isfinite(M).all():
-            raise SchemaError(f"{where}: entries must be finite")
-        blocks.append(M)
+        try:
+            mats.append(_block_matrix(blk, f"blocks[{j}]"))
+        except SchemaError:
+            # the first error in the document wins: the entries of the
+            # blocks before this one come before its own structure
+            _check_entries(mats, n)
+            raise
+
+    # every block in one conversion; the entry-by-entry read only runs to
+    # name a bad entry
+    T = _bulk_block(list(chain.from_iterable(mats)), n)
+    if T is None or not np.isfinite(T).all():
+        _check_entries(mats, n)
 
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
@@ -120,7 +143,7 @@ def parse_spec(text: str) -> tuple:
     for key in metadata:
         if not isinstance(metadata[key], str):
             raise SchemaError(f"metadata.{key} must be a string")
-    return GFrame(n, tuple(blocks)), dict(metadata)
+    return GFrame(n, _row_blocks(T, [len(mat) for mat in mats])), dict(metadata)
 
 
 # json.dumps(doc, indent=2, sort_keys=True) lays a block out as below; its
@@ -156,8 +179,10 @@ def serialize(frame: GFrame, metadata: dict | None = None) -> str:
         rest["metadata"] = dict(metadata)
     # "blocks" sorts first; the skeleton supplies the keys after it
     tail = json.dumps(rest, indent=2, sort_keys=True)
-    blocks = ",\n".join(map(_block_text, frame.blocks))
-    return '{\n  "blocks": [\n' + blocks + "\n  ],\n" + tail[2:] + "\n"
+    # one join, so the block texts and the document are the only copies held
+    heads = chain(['{\n  "blocks": [\n'], repeat(",\n"))
+    pieces = chain.from_iterable(zip(heads, map(_block_text, frame.blocks)))
+    return "".join(chain(pieces, ["\n  ],\n" + tail[2:] + "\n"]))
 
 
 def load(path) -> tuple:

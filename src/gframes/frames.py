@@ -4,47 +4,103 @@ An operator frame is an ordered family of complex blocks Lambda_j of shape
 (d_j, n), each mapping the ambient space C^n into its own target C^{d_j}.
 The family is a frame when the summed block energies sum_j ||Lambda_j f||^2
 are sandwiched between A ||f||^2 and B ||f||^2 with A > 0.
+
+A frame stores its analysis operator T (the blocks stacked, sum d_j x n)
+once, and caches one thin SVD T = U Sigma V† of it, keeping only Sigma and
+V†.  Bounds, rank, S^{-1} and S^{-1/2} (S = T†T = V Sigma^2 V†) and range
+bases all come from that cache; S itself is never decomposed, which would
+square the condition number.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import linalg
 from .errors import (
     DimensionMismatch,
+    NonFinite,
     NotAFrame,
+    NotOnBasis,
     ShapeMismatch,
     Singular,
 )
 from .linalg import TOL_EQ, TOL_PD, TOL_RANK, as_cmatrix, fro
 
+_ITEM = np.dtype(np.complex128).itemsize
+
+
+def _row_blocks(T: np.ndarray, dims) -> tuple:
+    """Consecutive row slices of T with heights `dims`."""
+    ends = np.cumsum(dims).tolist()
+    return tuple(T[a:b] for a, b in zip([0] + ends[:-1], ends))
+
+
+def _tiled(blocks, n: int):
+    """The m x n matrix the blocks tile, as a read-only view, when they are
+    consecutive row slices of one C-contiguous complex array; else None.
+
+    Blocks that share one base tile a range of its buffer when each starts
+    where the previous one ends, so the view stays within that buffer and
+    keeps it alive."""
+    first = blocks[0]
+    base = first.base
+    if base is None and len(blocks) > 1:
+        return None
+    row = n * _ITEM
+    ptr = first.__array_interface__["data"][0]
+    for B in blocks:
+        if (B.base is not base or not B.flags.c_contiguous
+                or B.__array_interface__["data"][0] != ptr):
+            return None
+        ptr += B.shape[0] * row
+    m = sum(B.shape[0] for B in blocks)
+    return np.lib.stride_tricks.as_strided(first, shape=(m, n), strides=(row, _ITEM),
+                                           writeable=False)
+
 
 @dataclass(frozen=True)
 class GFrame:
-    """Ordered family of complex blocks, all with the same column count."""
+    """Ordered family of complex blocks, all with the same column count.
+
+    `matrix` is the stacked analysis operator T; the blocks are read-only
+    row views of it.  Blocks that already are consecutive row slices of one
+    C-contiguous complex array (`np.split` of it, say) share its memory;
+    any others are stacked once."""
 
     hilbert_dim: int
     blocks: tuple
+    matrix: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.hilbert_dim < 1:
+        n = self.hilbert_dim
+        if n < 1:
             raise DimensionMismatch("hilbert_dim must be >= 1")
         if not self.blocks:
             raise DimensionMismatch("block list must be nonempty")
-        checked = []
-        for j, B in enumerate(self.blocks):
-            A = as_cmatrix(B)
-            if A.shape[1] != self.hilbert_dim:
-                raise ShapeMismatch(
-                    f"block {j} has {A.shape[1]} columns, expected {self.hilbert_dim}"
-                )
+        blocks = [np.asarray(B, dtype=np.complex128) for B in self.blocks]
+        for j, A in enumerate(blocks):
+            if A.ndim != 2:
+                raise ValueError(f"expected a 2-d array, got ndim={A.ndim}")
+            if A.shape[1] != n:
+                raise ShapeMismatch(f"block {j} has {A.shape[1]} columns, expected {n}")
             if A.shape[0] < 1:
                 raise ShapeMismatch(f"block {j} has zero rows")
-            A.setflags(write=False)
-            checked.append(A)
-        object.__setattr__(self, "blocks", tuple(checked))
+        T = _tiled(blocks, n)
+        if T is None:
+            T = np.concatenate(blocks)
+            T.flags.writeable = False
+        else:
+            # the caller's blocks share T's memory: a write through one
+            # would change a frame whose spectrum may already be cached
+            for A in blocks:
+                A.flags.writeable = False
+        if not np.isfinite(T).all():
+            raise NonFinite("matrix contains NaN or Inf entries")
+        object.__setattr__(self, "matrix", T)
+        object.__setattr__(self, "blocks", _row_blocks(T, [A.shape[0] for A in blocks]))
 
     @property
     def block_dims(self):
@@ -53,7 +109,30 @@ class GFrame:
     @property
     def total_dim(self):
         """Dimension of the stacked target space, sum of the d_j."""
-        return sum(self.block_dims)
+        return self.matrix.shape[0]
+
+    @cached_property
+    def spectrum(self) -> tuple:
+        """(sigma, V†) of a thin SVD T = U Sigma V† of the analysis operator:
+        the min(m, n) singular values in descending order and the rows of
+        V†.  U is not kept."""
+        _, s, Vh = np.linalg.svd(self.matrix, full_matrices=False)
+        return s, Vh
+
+    def rank(self, tol_rank: float = TOL_RANK) -> int:
+        """Number of singular values above tol_rank * sigma_max."""
+        s = self.spectrum[0]
+        return int(np.sum(s > tol_rank * s[0]))
+
+    def range_basis(self, tol_rank: float = TOL_RANK) -> np.ndarray:
+        """Orthonormal basis of the analysis range, as the columns of an
+        m x r matrix: the Q factor of T V_r, with V_r the right singular
+        vectors of the r = rank(tol_rank) leading singular values."""
+        r = self.rank(tol_rank)
+        if r == 0:
+            return np.zeros((self.total_dim, 0), dtype=np.complex128)
+        Q, _ = np.linalg.qr(self.matrix @ self.spectrum[1][:r].conj().T)
+        return Q
 
     def map_blocks(self, fn) -> "GFrame":
         return GFrame(self.hilbert_dim, tuple(fn(B) for B in self.blocks))
@@ -63,18 +142,6 @@ class GFrame:
             self.hilbert_dim == other.hilbert_dim
             and self.block_dims == other.block_dims
         )
-
-
-@dataclass(frozen=True)
-class StackedOperator:
-    """The analysis operator as one tall matrix with a block-row index map."""
-
-    matrix: np.ndarray
-    offsets: tuple
-
-    def block(self, j: int) -> np.ndarray:
-        end = self.offsets[j + 1] if j + 1 < len(self.offsets) else self.matrix.shape[0]
-        return self.matrix[self.offsets[j]:end]
 
 
 @dataclass(frozen=True)
@@ -105,33 +172,55 @@ class Classification:
             raise ValueError("frame must be Bessel and complete")
 
 
-def analysis(F: GFrame) -> StackedOperator:
-    """Stack the blocks of F into one (sum d_j) x n matrix."""
-    offsets = []
-    pos = 0
-    for B in F.blocks:
-        offsets.append(pos)
-        pos += B.shape[0]
-    return StackedOperator(np.vstack(F.blocks), tuple(offsets))
+def analysis(F: GFrame) -> np.ndarray:
+    """The blocks of F stacked into one (sum d_j) x n matrix (read-only)."""
+    return F.matrix
 
 
 def frame_operator(F: GFrame) -> np.ndarray:
     """S = T†T = sum_j Lambda_j† Lambda_j, Hermitian n x n."""
-    T = analysis(F).matrix
+    T = F.matrix
     S = T.conj().T @ T
     return (S + S.conj().T) / 2.0
 
 
-def frame_bounds(F: GFrame, tol_eq: float = TOL_EQ, tol_pd: float = TOL_PD) -> FrameBounds:
-    """Optimal bounds: the spectral extremes of the frame operator.
+def _times_inverse_root(F: GFrame, k: int) -> GFrame:
+    """The frame with analysis matrix T S^{-k/2} = T V Sigma^{-k} V†, from
+    the cached factor.
 
-    A non-frame (degenerate lower bound) is a value, not an error.
+    Sigma is first divided by 2^e, the power of two at sigma_max, so that
+    Sigma^{-k} cannot overflow; multiplying back by 2^-e, k times, is exact
+    and gives the same bits as the unscaled product."""
+    s, Vh = F.spectrum
+    e = int(np.frexp(s[0])[1])
+    R = F.matrix @ ((Vh.conj().T * np.ldexp(s, -e) ** float(-k)) @ Vh)
+    for _ in range(k):
+        R *= 2.0 ** -e
+    return GFrame(F.hilbert_dim, _row_blocks(R, F.block_dims))
+
+
+_SQRT_MAX = float(np.sqrt(np.finfo(np.float64).max))
+
+
+def frame_bounds(F: GFrame, tol_eq: float = TOL_EQ, tol_pd: float = TOL_PD) -> FrameBounds:
+    """Optimal bounds: the spectral extremes sigma_min^2 and sigma_max^2 of
+    the frame operator (the lower one is 0 with fewer than n rows).
+
+    The flags compare the ratio sigma_min / sigma_max with the tolerances,
+    as lower > tol_pd * upper and |upper - lower| <= tol_eq * upper would,
+    so they do not change when T is rescaled.  A non-frame (degenerate
+    lower bound) is a value, not an error; an upper bound beyond binary64
+    raises NonFinite.
     """
-    w, _ = linalg.herm_eig(frame_operator(F))
-    lower = float(max(w[0], 0.0))
-    upper = float(max(w[-1], 0.0))
-    is_frame = lower > tol_pd * upper
-    is_tight = is_frame and abs(lower - upper) <= tol_eq * upper
+    s = F.spectrum[0]
+    if s[0] > _SQRT_MAX:
+        raise NonFinite(f"upper frame bound overflows: sigma_max = {s[0]:.3e}")
+    upper = float(s[0] ** 2)
+    full = s.size == F.hilbert_dim
+    lower = float(s[-1] ** 2) if full else 0.0
+    ratio2 = float((s[-1] / s[0]) ** 2) if full and s[0] > 0.0 else 0.0
+    is_frame = ratio2 > tol_pd
+    is_tight = is_frame and 1.0 - ratio2 <= tol_eq
     is_parseval = is_tight and abs(lower - 1.0) <= tol_eq
     return FrameBounds(lower, upper, is_frame, is_tight, is_parseval)
 
@@ -140,8 +229,7 @@ def canonical_dual(F: GFrame, tol_eq: float = TOL_EQ) -> GFrame:
     """The family Lambda_j S^{-1}; a (1/B, 1/A) frame whose own dual is F."""
     if not frame_bounds(F, tol_eq=tol_eq).is_frame:
         raise NotAFrame("canonical dual requires a frame")
-    S_inv = linalg.herm_func(frame_operator(F), "inverse")
-    return F.map_blocks(lambda B: B @ S_inv)
+    return _times_inverse_root(F, 2)
 
 
 def parseval_transform(F: GFrame, tol_eq: float = TOL_EQ) -> GFrame:
@@ -149,37 +237,84 @@ def parseval_transform(F: GFrame, tol_eq: float = TOL_EQ) -> GFrame:
     operator basis whenever F is a Riesz operator basis."""
     if not frame_bounds(F, tol_eq=tol_eq).is_frame:
         raise NotAFrame("Parseval transform requires a frame")
-    S_is = linalg.herm_func(frame_operator(F), "inv_sqrt")
-    return F.map_blocks(lambda B: B @ S_is)
+    return _times_inverse_root(F, 1)
+
+
+def _unit_scaled(A: np.ndarray):
+    """A / 2^e and 2^-e, with e >= 0 the smallest that brings max|A| below 1.
+
+    Scaling by a power of two is exact, so products of the scaled matrix
+    round exactly as the originals would, but cannot overflow."""
+    e = int(np.frexp(np.abs(A).max())[1])
+    if e <= 0:
+        return A, 1.0
+    unit = 2.0 ** -e
+    return A * unit, unit
+
+
+def _block_rule(G: np.ndarray, unit: float, dims, tol_eq: float) -> bool:
+    """Whether every block G_jk of the m x m Gram G (blocks of heights
+    `dims`) meets ||G_jk - delta_jk I||_F <= tol_eq * max(1, ||G_jk||_F),
+    with G given in units of `unit` (G / unit is the Gram itself)."""
+    g = G.diagonal().copy()
+    G.flat[::G.shape[0] + 1] -= unit
+    starts = np.cumsum((0,) + tuple(dims[:-1]))
+    err2 = np.add.reduceat(np.add.reduceat(G.real ** 2 + G.imag ** 2, starts, axis=0),
+                           starts, axis=1)
+    # ||G_jj||^2 = ||G_jj - I||^2 + sum_i (|g_ii|^2 - |g_ii - 1|^2), in units
+    ref2 = err2.copy()
+    ref2[np.diag_indices(len(starts))] += np.add.reduceat(
+        np.abs(g) ** 2 - np.abs(g - unit) ** 2, starts)
+    return bool(np.all(np.sqrt(err2) <= tol_eq * np.maximum(unit, np.sqrt(ref2))))
+
+
+def _gram_is_identity(A: np.ndarray, B: np.ndarray, dims, tol_eq: float) -> bool:
+    """The block rule of `_block_rule` on A B†, formed once from A and B
+    scaled by powers of two so that it cannot overflow."""
+    As, a = _unit_scaled(A)
+    Bs, b = (As, a) if B is A else _unit_scaled(B)
+    return _block_rule(As @ Bs.conj().T, a * b, dims, tol_eq)
+
+
+def _is_on_basis(T: np.ndarray, dims, tol_eq: float) -> bool:
+    """Orthonormal operator basis test on a stacked analysis matrix, with no
+    decomposition: the block rule on T T† (orthonormal set) and
+    ||T†T - I||_F <= tol_eq * max(1, n) (S = I)."""
+    m, n = T.shape
+    if m > n:
+        return False
+    Ts, a = _unit_scaled(T)
+    unit = a * a
+    Th = Ts.conj().T
+    if not _block_rule(Ts @ Th, unit, dims, tol_eq):
+        return False
+    S = Th @ Ts
+    S.flat[::n + 1] -= unit
+    return fro(S) <= tol_eq * max(1.0, float(n)) * unit
 
 
 def classify(F: GFrame, tol_eq: float = TOL_EQ, tol_rank: float = TOL_RANK) -> Classification:
     """Classification flags for an arbitrary operator family.
 
     Completeness <=> rank(T) = n; Riesz basis <=> frame whose analysis
-    operator is surjective, i.e. rank(T) = sum d_j.
+    operator is surjective, i.e. rank(T) = sum d_j.  Orthonormal set <=>
+    T T† = I blockwise: with more rows than columns T T† has rank at most
+    n < m, so ||T T† - I||_F >= 1 and the answer is no (at any tolerance
+    below 1/(2m)); otherwise one m x m Gram is tested block by block.
     """
-    T = analysis(F).matrix
+    s = F.spectrum[0]
     bounds = frame_bounds(F, tol_eq=tol_eq)
-    rank = linalg.numerical_rank(T, tol_rank=tol_rank)
-    n = F.hilbert_dim
+    rank = F.rank(tol_rank)
+    n, m = F.hilbert_dim, F.total_dim
     is_complete = rank == n
     is_frame = bounds.is_frame
-    is_riesz = is_frame and rank == F.total_dim
+    is_riesz = is_frame and rank == m
 
-    # orthonormal set: Lambda_j Lambda_k† = delta_jk * identity on each target
-    is_on_set = True
-    for j, Bj in enumerate(F.blocks):
-        for k, Bk in enumerate(F.blocks):
-            G = Bj @ Bk.conj().T
-            target = np.eye(Bj.shape[0]) if j == k else np.zeros_like(G)
-            if fro(G - target) > tol_eq * max(1.0, fro(G)):
-                is_on_set = False
-                break
-        if not is_on_set:
-            break
-    s_is_identity = fro(frame_operator(F) - np.eye(n)) <= tol_eq * max(1.0, float(n))
-    is_on_basis = is_on_set and s_is_identity
+    is_on_set = m <= n and _gram_is_identity(F.matrix, F.matrix, F.block_dims, tol_eq)
+    # S - I has eigenvalues sigma^2 - 1, and -1 on the n - m missing ones;
+    # hypot sums their squares without overflow
+    gap = np.hypot.reduce(np.concatenate((s ** 2 - 1.0, np.ones(n - s.size))))
+    is_on_basis = is_on_set and bool(gap <= tol_eq * max(1.0, float(n)))
 
     return Classification(
         is_bessel=True,  # finite families always admit an upper bound
@@ -195,33 +330,24 @@ def check_dual_pair(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ) -> bool:
     """True iff T_G† T_F = identity (reconstruction from both sides)."""
     if not F.same_shape(G):
         raise ShapeMismatch("dual-pair check needs identical block shapes")
-    TF = analysis(F).matrix
-    TG = analysis(G).matrix
-    M = TG.conj().T @ TF
+    M = G.matrix.conj().T @ F.matrix
     return fro(M - np.eye(F.hilbert_dim)) <= tol_eq * max(1.0, fro(M))
 
 
 def check_biorthogonal(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ) -> bool:
-    """True iff G_k F_j† = delta_jk * identity for all j, k."""
+    """True iff G_k F_j† = delta_jk * identity for all j, k: one Gram
+    T_G T_F†, which cannot be the identity with more rows than columns."""
     if not F.same_shape(G):
         raise ShapeMismatch("biorthogonality check needs identical block shapes")
-    for j, Bj in enumerate(F.blocks):
-        for k, Gk in enumerate(G.blocks):
-            M = Gk @ Bj.conj().T
-            target = np.eye(M.shape[0]) if j == k else np.zeros_like(M)
-            if fro(M - target) > tol_eq * max(1.0, fro(M)):
-                return False
-    return True
+    if F.total_dim > F.hilbert_dim:
+        return False
+    return _gram_is_identity(G.matrix, F.matrix, F.block_dims, tol_eq)
 
 
 def induce_vector_frame(F: GFrame) -> list:
     """The vectors Lambda_j† e_k, i.e. the conjugated rows of each block,
     listed block by block.  Their ordinary-frame bounds equal frame_bounds(F)."""
-    vectors = []
-    for B in F.blocks:
-        for row in B:
-            vectors.append(row.conj().copy())
-    return vectors
+    return list(F.matrix.conj())
 
 
 def make_gon_basis(n: int, dims, rotation=None) -> GFrame:
@@ -236,20 +362,14 @@ def make_gon_basis(n: int, dims, rotation=None) -> GFrame:
         U = linalg.check_unitary(rotation)
         if U.shape[0] != n:
             raise DimensionMismatch("rotation size does not match hilbert_dim")
-    blocks = []
-    pos = 0
-    for d in dims:
-        blocks.append(U[pos:pos + d].copy())
-        pos += d
-    return GFrame(n, tuple(blocks))
+        U = U.copy()
+    return GFrame(n, _row_blocks(U, dims))
 
 
 def make_griesz(gon: GFrame, X, tol_pd: float = TOL_PD) -> GFrame:
     """Riesz operator basis theta_j X from an orthonormal operator basis and an
     invertible X.  Bounds land in [||X^{-1}||^{-2}, ||X||^2]."""
-    from .errors import NotOnBasis
-
-    if not classify(gon).is_on_basis:
+    if not _is_on_basis(gon.matrix, gon.block_dims, TOL_EQ):
         raise NotOnBasis("make_griesz requires an orthonormal operator basis")
     A = as_cmatrix(X)
     if A.shape != (gon.hilbert_dim, gon.hilbert_dim):
@@ -257,4 +377,4 @@ def make_griesz(gon: GFrame, X, tol_pd: float = TOL_PD) -> GFrame:
     s = np.linalg.svd(A, compute_uv=False)
     if s[-1] <= tol_pd * s[0]:
         raise Singular(f"condition number {s[0] / max(s[-1], 1e-300):.3e} too large")
-    return gon.map_blocks(lambda B: B @ A)
+    return GFrame(gon.hilbert_dim, _row_blocks(gon.matrix @ A, gon.block_dims))

@@ -1,5 +1,5 @@
 """Dense complex-matrix substrate: Hermitian eigendecompositions, spectral
-functions, and SVD-based range computations.
+functions, norms, projector distances and random unitaries.
 
 All tolerances are relative to the scale of the input (largest singular value
 or Frobenius norm); absolute tolerances are never used, so every routine is
@@ -65,42 +65,18 @@ _SPECTRAL = {
 }
 
 
-def herm_funcs(M, kinds, tol_pd: float = TOL_PD) -> tuple:
-    """Apply each of inverse, sqrt or inv_sqrt to a Hermitian positive-definite
-    matrix through its spectrum; one eigendecomposition serves them all."""
-    unknown = [k for k in kinds if k not in _SPECTRAL]
-    if unknown:
-        raise ValueError(f"unknown spectral function(s) {unknown!r}")
+def herm_func(M, kind: str, tol_pd: float = TOL_PD) -> np.ndarray:
+    """Apply inverse, sqrt or inv_sqrt to a Hermitian positive-definite matrix
+    through its spectrum."""
+    if kind not in _SPECTRAL:
+        raise ValueError(f"unknown spectral function {kind!r}")
     w, Q = herm_eig(M)
     if w[0] <= tol_pd * max(w[-1], 0.0):
         raise NotPositiveDefinite(
             f"spectral floor {w[0]:.3e} below {tol_pd:.1e} * {w[-1]:.3e}"
         )
-    out = []
-    for kind in kinds:
-        F = (Q * _SPECTRAL[kind](w)) @ Q.conj().T
-        out.append((F + F.conj().T) / 2.0)
-    return tuple(out)
-
-
-def herm_func(M, kind: str, tol_pd: float = TOL_PD) -> np.ndarray:
-    """Apply inverse, sqrt or inv_sqrt to a Hermitian positive-definite matrix
-    through its spectrum."""
-    return herm_funcs(M, (kind,), tol_pd=tol_pd)[0]
-
-
-def range_basis(M, tol_rank: float = TOL_RANK) -> np.ndarray:
-    """Orthonormal basis of the column space of M, as the columns of an
-    m x r matrix; the projector onto that space is U U†.
-
-    Singular values below tol_rank * sigma_max count as zero.
-    """
-    A = as_cmatrix(M)
-    if min(A.shape) == 0 or not A.any():
-        return np.zeros((A.shape[0], 0), dtype=np.complex128)
-    U, s, _ = np.linalg.svd(A, full_matrices=False)
-    r = int(np.sum(s > tol_rank * s[0]))
-    return U[:, :r]
+    F = (Q * _SPECTRAL[kind](w)) @ Q.conj().T
+    return (F + F.conj().T) / 2.0
 
 
 def projector_gap(U, V) -> float:
@@ -114,14 +90,6 @@ def projector_gap(U, V) -> float:
     """
     C = V.conj().T @ U
     return float(np.hypot(fro(U - V @ C), fro(V - U @ C.conj().T)))
-
-
-def numerical_rank(M, tol_rank: float = TOL_RANK) -> int:
-    A = as_cmatrix(M)
-    if min(A.shape) == 0 or not A.any():
-        return 0
-    s = np.linalg.svd(A, compute_uv=False)
-    return int(np.sum(s > tol_rank * s[0]))
 
 
 def check_unitary(U, tol: float = TOL_EQ) -> np.ndarray:

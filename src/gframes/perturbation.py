@@ -6,8 +6,9 @@ The optimal perturbation constant M is the smallest M with
                                                   sum_i ||theta_i f||^2)
 
 for all f.  Each one-sided ratio is a generalized Rayleigh quotient of the
-pencil (D†D, S), solved by whitening with the inverse square root of the
-denominator operator; the two-sided optimum is the max of the two.
+pencil (D†D, S), solved by whitening with W = V Sigma^{-1} from the
+denominator frame's cached factor (W† S W = I); the two-sided optimum is the
+max of the two.
 """
 from __future__ import annotations
 
@@ -19,10 +20,11 @@ from . import linalg
 from .errors import (
     DegenerateTheta,
     NotAFrame,
+    NotPositiveDefinite,
     PremiseNotVerifiable,
     ShapeMismatch,
 )
-from .frames import GFrame, analysis, frame_bounds, frame_operator
+from .frames import GFrame, analysis, frame_bounds
 
 
 @dataclass(frozen=True)
@@ -49,13 +51,22 @@ class GavrutaReport:
     actual_lower_lambda: float
 
 
-def _whitened_max_eig(D: np.ndarray, S: np.ndarray):
-    """Largest eigenvalue and maximizer of the pencil (D†D, S)."""
-    S_is = linalg.herm_func(S, "inv_sqrt")
-    A = S_is @ (D.conj().T @ D) @ S_is
-    w, Q = linalg.herm_eig(A)
-    f = S_is @ Q[:, -1]
-    return float(max(w[-1], 0.0)), f / np.linalg.norm(f)
+def _whitened(D: np.ndarray, F: GFrame):
+    """The whitening W = V Sigma^{-1} of F's frame operator and the
+    Hermitian W† D†D W, whose spectrum is that of the pencil (D†D, S_F)."""
+    if not frame_bounds(F).is_frame:
+        raise NotPositiveDefinite("denominator frame operator is singular")
+    s, Vh = F.spectrum
+    W = Vh.conj().T / s
+    DW = D @ W
+    A = DW.conj().T @ DW
+    return W, (A + A.conj().T) / 2.0
+
+
+def _pencil_max(D: np.ndarray, F: GFrame) -> float:
+    """Largest eigenvalue of the pencil (D†D, S_F)."""
+    _, A = _whitened(D, F)
+    return float(max(np.linalg.eigvalsh(A)[-1], 0.0))
 
 
 def optimal_M(F: GFrame, G: GFrame) -> PerturbationReport:
@@ -67,9 +78,9 @@ def optimal_M(F: GFrame, G: GFrame) -> PerturbationReport:
     bG = frame_bounds(G)
     if not (bF.is_frame and bG.is_frame):
         raise NotAFrame("optimal_M requires two frames")
-    D = analysis(F).matrix - analysis(G).matrix
-    m_lambda, _ = _whitened_max_eig(D, frame_operator(F))
-    m_theta, _ = _whitened_max_eig(D, frame_operator(G))
+    D = analysis(F) - analysis(G)
+    m_lambda = _pencil_max(D, F)
+    m_theta = _pencil_max(D, G)
     m_opt = max(m_lambda, m_theta)
     return PerturbationReport(
         m_lambda=m_lambda,
@@ -85,10 +96,10 @@ def optimal_M(F: GFrame, G: GFrame) -> PerturbationReport:
 def perturbation_maximizer(F: GFrame, G: GFrame, side: str = "lambda"):
     """Unit vector attaining the one-sided perturbation ratio; exposed so
     tests can confirm the eigenvalue answer against direct evaluation."""
-    D = analysis(F).matrix - analysis(G).matrix
-    S = frame_operator(F) if side == "lambda" else frame_operator(G)
-    _, f = _whitened_max_eig(D, S)
-    return f
+    W, A = _whitened(analysis(F) - analysis(G), F if side == "lambda" else G)
+    _, Q = np.linalg.eigh(A)
+    f = W @ Q[:, -1]
+    return f / np.linalg.norm(f)
 
 
 def one_sided_M(F: GFrame, G: GFrame, tol_pd: float = linalg.TOL_PD):
@@ -102,12 +113,9 @@ def one_sided_M(F: GFrame, G: GFrame, tol_pd: float = linalg.TOL_PD):
     bF = frame_bounds(F)
     if not bF.is_frame:
         raise NotAFrame("one_sided_M requires the reference family to be a frame")
-    S_G = frame_operator(G)
-    w, _ = linalg.herm_eig(S_G)
-    if w[0] <= tol_pd * max(w[-1], 0.0):
+    if not frame_bounds(G, tol_pd=tol_pd).is_frame:
         raise DegenerateTheta("denominator frame operator is singular")
-    D = analysis(F).matrix - analysis(G).matrix
-    m3, _ = _whitened_max_eig(D, S_G)
+    m3 = _pencil_max(analysis(F) - analysis(G), G)
     return m3, bF.lower / (2.0 * m3 + 2.0)
 
 
@@ -151,8 +159,8 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
         # an empty sample would report the premise as holding untested
         raise ValueError(f"samples must be positive, got {samples}")
     dim = F.hilbert_dim
-    TF = analysis(F).matrix
-    TG = analysis(G).matrix
+    TF = analysis(F)
+    TG = analysis(G)
     bF = frame_bounds(F)
     bG = frame_bounds(G)
     B1, B2 = bF.upper, bG.upper

@@ -144,8 +144,8 @@ def test_criterion_05_alternate_dual(report):
         all_dual &= gf.check_dual_pair(F, alt, tol_eq=1e-9)
         worst_diff = min(worst_diff,
                          max(fro(A - C) for A, C in zip(alt.blocks, can.blocks)))
-        T_can = analysis(can).matrix
-        T_alt = analysis(alt).matrix
+        T_can = analysis(can)
+        T_alt = analysis(alt)
         for _ in range(50):
             f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
             worst_min = max(worst_min, np.linalg.norm(T_can @ f)
@@ -166,8 +166,8 @@ def brute_force_M(F, G, rng, samples=10_000):
     """Sampled maximization of the perturbation ratio, polished by a local
     optimizer started from the best sample of each one-sided quotient."""
     n = F.hilbert_dim
-    TF = analysis(F).matrix
-    TG = analysis(G).matrix
+    TF = analysis(F)
+    TG = analysis(G)
     TD = TF - TG
     Fs = rng.standard_normal((n, samples)) + 1j * rng.standard_normal((n, samples))
     num = np.sum(np.abs(TD @ Fs) ** 2, axis=0)
@@ -222,7 +222,7 @@ def test_criterion_07_gavruta_bounds(report):
         G = D.map_blocks(
             lambda B: B + eps * (rng.standard_normal(B.shape)
                                  + 1j * rng.standard_normal(B.shape)))
-        V = analysis(F).matrix.conj().T @ analysis(G).matrix
+        V = analysis(F).conj().T @ analysis(G)
         m = float(np.linalg.norm(np.eye(n) - V, 2))
         assert m < 1.0
         worst_m = max(worst_m, m)

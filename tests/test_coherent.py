@@ -3,7 +3,7 @@ import pytest
 from scipy.special import factorial, gammainc, gammaincc, roots_laguerre
 
 import gframes as gf
-from gframes import coherent
+from gframes import coherent, frames
 from gframes.errors import (
     InsufficientNodes,
     NonUniformBlocks,
@@ -13,7 +13,7 @@ from gframes.errors import (
 )
 from gframes.linalg import TOL_EQ, fro, random_unitary
 
-from conftest import random_gon, random_riesz
+from conftest import on_basis_cases, random_gon, random_riesz
 
 
 def series_oracle(fs, z, w):
@@ -75,54 +75,14 @@ class TestBuildFock:
             gf.build_fock(gon)
 
     def test_gram_rule_agrees_with_classify(self, rng, mercedes):
-        def agree(F, tol_eq=TOL_EQ):
-            expected = gf.classify(F, tol_eq=tol_eq).is_on_basis
-            C = np.hstack([B.conj().T for B in F.blocks])
-            assert coherent._is_on_basis(C, F.block_dims[0], tol_eq) == expected
+        for F, expected in on_basis_cases(rng, mercedes):
+            assert gf.classify(F).is_on_basis == expected
+            assert frames._is_on_basis(F.matrix, F.block_dims, TOL_EQ) == expected
             if expected:
-                gf.build_fock(F, tol_eq=tol_eq)
+                gf.build_fock(F)
             else:
                 with pytest.raises(NotOnBasis):
-                    gf.build_fock(F, tol_eq=tol_eq)
-            return expected
-
-        for n, dims in [(1, (1,)), (6, (2, 2, 2)), (12, (3,) * 4), (16, (4,) * 4)]:
-            assert agree(random_gon(rng, n, dims))
-        # non-square families: an orthonormal set that is not a basis
-        # (S != I), a Parseval frame that is not an orthonormal set (S = I),
-        # and the Mercedes frame
-        assert not agree(gf.GFrame(4, random_gon(rng, 4, (2, 2)).blocks[:1]))
-        isometry = random_unitary(6, rng)[:, :4]
-        assert not agree(gf.GFrame(4, tuple(np.split(isometry, 3))))
-        assert not agree(mercedes)
-        # perturbed bases just inside and just outside the tolerance: the
-        # deviation is linear in the perturbation, so scale it to sit at
-        # 0.8 and 1.25 times the threshold of the default tolerance.  A
-        # random direction, and a rescaled first block, where the rule on
-        # the diagonal blocks binds
-        for n, dims, rescale in [(6, (2, 2, 2), False), (9, (3, 3, 3), False),
-                                 (8, (1,) * 8, False), (9, (3, 3, 3), True)]:
-            gon = random_gon(rng, n, dims)
-            E = [rng.standard_normal(B.shape) + 1j * rng.standard_normal(B.shape)
-                 for B in gon.blocks]
-            if rescale:
-                E = [gon.blocks[0]] + [0.0 * B for B in gon.blocks[1:]]
-
-            def perturbed(eps):
-                return gf.GFrame(n, tuple(B + eps * D
-                                          for B, D in zip(gon.blocks, E)))
-
-            eps0 = 1e-6
-            lo, hi = 0.0, 1.0   # bisect the tolerance at which eps0 passes
-            for _ in range(60):
-                mid = (lo + hi) / 2
-                if gf.classify(perturbed(eps0), tol_eq=mid).is_on_basis:
-                    hi = mid
-                else:
-                    lo = mid
-            slope = hi / eps0
-            assert agree(perturbed(0.8 * TOL_EQ / slope))
-            assert not agree(perturbed(1.25 * TOL_EQ / slope))
+                    gf.build_fock(F)
 
 
 class TestTruncationDefect:

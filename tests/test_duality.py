@@ -13,7 +13,7 @@ from conftest import random_frame, random_gon, random_riesz
 class TestKernelVector:
     def test_orthogonal_to_range_and_unit(self, mercedes):
         v = duality.kernel_vector(mercedes)
-        T = analysis(mercedes).matrix
+        T = analysis(mercedes)
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
         assert np.linalg.norm(T.conj().T @ v) <= 1e-10
 
@@ -24,7 +24,7 @@ class TestKernelVector:
 
     def test_tall_frame_seeded(self, rng):
         F = random_frame(rng, 8, (1,) * 400)
-        T = analysis(F).matrix
+        T = analysis(F)
         v = {seed: duality.kernel_vector(F, seed=seed) for seed in (0, 1)}
         for seed, u in v.items():
             assert abs(np.linalg.norm(u) - 1.0) <= 1e-12
@@ -60,11 +60,10 @@ class TestAlternateDual:
         alt = gf.construct_alternate_dual(mercedes, g0)
         can = gf.canonical_dual(mercedes)
         kv = duality.kernel_vector(mercedes)
-        off = analysis(mercedes).offsets
+        off = np.cumsum((0,) + mercedes.block_dims)
         for j, (A, C) in enumerate(zip(alt.blocks, can.blocks)):
-            end = off[j + 1] if j + 1 < len(off) else kv.shape[0]
             np.testing.assert_allclose(A - C,
-                                       np.outer(kv[off[j]:end], g0.conj()),
+                                       np.outer(kv[off[j]:off[j + 1]], g0.conj()),
                                        atol=1e-14)
 
     def test_riesz_input_rejected(self, rng):
@@ -80,9 +79,9 @@ class TestAlternateDual:
         F = random_frame(rng, 4, (2, 2, 2))
         g0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         alt = gf.construct_alternate_dual(F, g0)
-        T = analysis(F).matrix
-        T_can = analysis(gf.canonical_dual(F)).matrix
-        T_alt = analysis(alt).matrix
+        T = analysis(F)
+        T_can = analysis(gf.canonical_dual(F))
+        T_alt = analysis(alt)
         for _ in range(20):
             f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             g = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -164,11 +163,11 @@ class TestGramCharacterization:
 
 def test_minimality_across_alternate_duals(rng):
     F = random_frame(rng, 4, (2, 2, 2))
-    T_can = analysis(gf.canonical_dual(F)).matrix
+    T_can = analysis(gf.canonical_dual(F))
     for trial in range(5):
         g0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
         alt = gf.construct_alternate_dual(F, g0, seed=trial)
-        T_alt = analysis(alt).matrix
+        T_alt = analysis(alt)
         for _ in range(50):
             f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
             assert (np.linalg.norm(T_can @ f)

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,18 @@ class TestParseSpec:
                 '"matrix": [[[1, 0], [false, 1]], [[1, 0]]]}]}')
         with pytest.raises(SchemaError, match=r"^blocks\[0\]\.matrix\[0\]\[1\]: "):
             frame_io.parse_spec(text)
+
+    def test_bad_entry_is_named_before_a_later_block_structure(self):
+        # the document's first error wins across blocks too: blocks[0]'s
+        # entry comes before blocks[1]'s row count
+        text = ('{"hilbert_dim": 2, "blocks": ['
+                '{"rows": 1, "matrix": [[[1, 0], [false, 1]]]}, '
+                '{"rows": 2, "matrix": [[[1, 0], [0, 1]]]}]}')
+        with pytest.raises(SchemaError, match=r"^blocks\[0\]\.matrix\[0\]\[1\]: "):
+            frame_io.parse_spec(text)
+        good = text.replace("false", "0")
+        with pytest.raises(SchemaError, match=r"^blocks\[1\]: matrix must have exactly 2 rows"):
+            frame_io.parse_spec(good)
 
     def test_integer_entries_read_exactly(self):
         big = 2 ** 70 + 1
@@ -287,7 +300,7 @@ class TestCli:
     def test_batched_energies_match_blockwise(self, rng):
         F = random_frame(rng, 4, (2, 1, 3))
         X = linalg.random_units(rng, 4, 20)
-        e = cli._energies(gf.analysis(F).matrix, X)
+        e = cli._energies(gf.analysis(F), X)
         for i in range(20):
             ref = sum(np.linalg.norm(B @ X[:, i]) ** 2 for B in F.blocks)
             assert e[i] == pytest.approx(ref, rel=1e-13)
@@ -329,3 +342,21 @@ class TestCli:
         assert cli.main(["all", mercedes_path, "--seed", "7", "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    def test_classify_at_1e100_matches_unscaled(self, tmp_path, capsys):
+        """A random 3-block (2 x 4) complex frame scaled by 1e100 gets the
+        flags it has at scale 1; its block Grams no longer overflow into a
+        false orthonormal-set answer."""
+        rng = np.random.default_rng(1)
+        blocks = [rng.standard_normal((2, 4)) + 1j * rng.standard_normal((2, 4))
+                  for _ in range(3)]
+        reports = []
+        for c in (1.0, 1e100):
+            p = tmp_path / f"scaled-{c:g}.frame"
+            frame_io.save(p, gf.GFrame(4, tuple(c * B for B in blocks)))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                assert cli.main(["classify", str(p)]) == 0
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[1]["classification"] == reports[0]["classification"]
+        assert reports[1]["classification"]["is_orthonormal_set"] is False

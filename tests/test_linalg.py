@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gframes import linalg
+from gframes import GFrame, linalg
 from gframes.errors import NonFinite, NotHermitian, NotPositiveDefinite
 
 
@@ -75,27 +75,24 @@ class TestHermFunc:
         out = a @ b @ b @ a
         assert np.linalg.norm(out - np.eye(4)) <= 1e-9
 
-    def test_several_functions_match_single_ones(self, rng):
-        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        S = X.conj().T @ X + 0.1 * np.eye(4)
-        kinds = ("sqrt", "inv_sqrt", "inverse")
-        for kind, out in zip(kinds, linalg.herm_funcs(S, kinds)):
-            np.testing.assert_array_equal(out, linalg.herm_func(S, kind))
-
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefinite):
             linalg.herm_func(np.diag([1.0, -1.0]), "sqrt")
-        with pytest.raises(NotPositiveDefinite):
-            linalg.herm_funcs(np.diag([1.0, -1.0]), ("sqrt", "inverse"))
 
     def test_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
             linalg.herm_func(np.eye(2), "exp")
 
 
+def range_basis(M):
+    """Orthonormal basis of the column space of M, from `GFrame.range_basis`
+    of the one-block family with analysis matrix M."""
+    return GFrame(M.shape[1], (M,)).range_basis()
+
+
 def projector(M):
     """The range projector U U† formed from `range_basis`."""
-    U = linalg.range_basis(M)
+    U = range_basis(M)
     return U @ U.conj().T
 
 
@@ -136,15 +133,15 @@ class TestProjectorGap:
             X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             B = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
             for other in (A @ X, B):   # the same range, and another one
-                gap = linalg.projector_gap(linalg.range_basis(A),
-                                           linalg.range_basis(other))
+                gap = linalg.projector_gap(range_basis(A),
+                                           range_basis(other))
                 assert abs(gap - self.dense_gap(A, other)) <= 1e-12
 
     def test_nested_ranges_of_unequal_rank(self, rng):
         G = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
         A = G @ rng.standard_normal((2, 4))
         B = np.hstack([G, rng.standard_normal((7, 2))])
-        gap = linalg.projector_gap(linalg.range_basis(A), linalg.range_basis(B))
+        gap = linalg.projector_gap(range_basis(A), range_basis(B))
         assert abs(gap - self.dense_gap(A, B)) <= 1e-12
         # P_B - P_A projects onto a 2-dim complement
         assert gap == pytest.approx(np.sqrt(2.0), abs=1e-12)
@@ -154,7 +151,3 @@ def test_random_unitary_is_unitary(rng):
     U = linalg.random_unitary(7, rng)
     assert np.linalg.norm(U.conj().T @ U - np.eye(7)) <= 1e-12
 
-
-def test_numerical_rank(rng):
-    M = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 5))
-    assert linalg.numerical_rank(M) == 3
