@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, coherent, duality, frame_io, frames, perturbation
 from .errors import GFrameError, ParseError, SchemaError, UsageError
-from .linalg import TOL_EQ, fro, random_units
+from .linalg import TOL_EQ, TOL_FLOOR, fro, random_units
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -105,11 +105,12 @@ def run_classify(args, report, frame, name):
     e = _energies(frames.analysis(frame), F)
     worst = _worst(np.maximum(bounds.lower - e, e - bounds.upper))
     report.add_check("frame_inequality_sampling", worst <= 1e-9, worst, 1e-9)
+    return cls
 
 
 def run_dual(args, report, frame, name):
     bounds = frames.frame_bounds(frame, tol_eq=args.tol)
-    dual = frames.canonical_dual(frame, tol_eq=args.tol)
+    dual = frames.canonical_dual(frame)
     dual_bounds = frames.frame_bounds(dual, tol_eq=args.tol)
     report.set("bounds", _bounds_dict(bounds))
     report.set("dual_bounds", _bounds_dict(dual_bounds))
@@ -128,10 +129,10 @@ def run_alt_dual(args, report, frame, name, emit=True):
     rng = np.random.default_rng(args.seed)
     g0 = random_units(rng, frame.hilbert_dim, 1)[:, 0]
     alt = duality.construct_alternate_dual(frame, g0, seed=args.seed)
-    can = frames.canonical_dual(frame, tol_eq=args.tol)
-    ok = frames.check_dual_pair(frame, alt, tol_eq=max(args.tol, 1e-9))
-    report.add_check("alternate_dual_reconstruction", ok, 0.0 if ok else 1.0,
-                     max(args.tol, 1e-9))
+    can = frames.canonical_dual(frame)
+    tol = max(args.tol, TOL_FLOOR)
+    ok = frames.check_dual_pair(frame, alt, tol_eq=tol)
+    report.add_check("alternate_dual_reconstruction", ok, 0.0 if ok else 1.0, tol)
     diff = max(fro(A - C) for A, C in zip(alt.blocks, can.blocks))
     report.add_check("differs_from_canonical", diff > 1e-6, diff, 1e-6)
     F = random_units(rng, frame.hilbert_dim, args.samples)
@@ -164,7 +165,7 @@ def run_perturb(args, report, frame, other, name):
 
 
 def run_coherent(args, report, frame, name):
-    fs = coherent.build_fock(frame, tol_eq=max(args.tol, 1e-9))
+    fs = coherent.build_fock(frame, tol_eq=max(args.tol, TOL_FLOOR))
     report.set("fock", {"K": fs.K, "L": fs.L})
     z, w = args.z, args.w
     checks = args.check or ["identity"]
@@ -299,9 +300,9 @@ def main(argv=None) -> int:
         elif args.command == "coherent":
             run_coherent(args, report, frame, name)
         elif args.command == "all":
-            run_classify(args, report, frame, name)
+            cls = run_classify(args, report, frame, name)
             run_dual(args, report, frame, name)
-            if not frames.classify(frame, tol_eq=args.tol).is_riesz_basis:
+            if not cls.is_riesz_basis:
                 # --emit names the canonical dual, written by run_dual
                 run_alt_dual(args, report, frame, name, emit=False)
     except GFrameError as exc:

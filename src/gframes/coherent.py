@@ -25,8 +25,8 @@ from .errors import (
     NotRieszBasis,
     TruncationTooSevere,
 )
-from .frames import GFrame, _is_on_basis, analysis
-from .linalg import TOL_EQ, TOL_PD, TOL_RANK
+from .frames import GFrame, _is_on_basis, _spectral_rules, analysis
+from .linalg import TOL_EQ, TOL_FLOOR
 
 
 @dataclass(frozen=True)
@@ -130,6 +130,20 @@ def required_truncation(z: complex, w: complex, defect_max: float):
     return smallest(abs(z) ** 2), smallest(abs(w) ** 2)
 
 
+def _checked_defect(z: complex, w: complex, K: int, L: int, defect_max: float) -> float:
+    """The truncation defect at (K, L), or TruncationTooSevere naming the
+    smallest truncation that meets defect_max when it exceeds it."""
+    defect = truncation_defect(z, w, K, L)
+    if defect > defect_max:
+        kr, lr = required_truncation(z, w, defect_max)
+        raise TruncationTooSevere(
+            f"defect {defect:.3e} exceeds {defect_max:.1e}; "
+            f"need K >= {kr}, L >= {lr}",
+            required_k=kr, required_l=lr,
+        )
+    return defect
+
+
 def _series_weights(z, m: int) -> np.ndarray:
     """Coefficients z^k / sqrt(k!) for k = 0..m-1, along a new last axis when
     z is an array, as the running product of the factors z / sqrt(k)."""
@@ -164,14 +178,7 @@ def build_fock(gon: GFrame, tol_eq: float = TOL_EQ) -> FockStructure:
 def coherent_state(fs: FockStructure, z: complex, w: complex,
                    defect_max: float = 1e-8) -> CoherentState:
     """Renormalized truncated coherent state at labels (z, w)."""
-    defect = truncation_defect(z, w, fs.K, fs.L)
-    if defect > defect_max:
-        kr, lr = required_truncation(z, w, defect_max)
-        raise TruncationTooSevere(
-            f"defect {defect:.3e} exceeds {defect_max:.1e}; "
-            f"need K >= {kr}, L >= {lr}",
-            required_k=kr, required_l=lr,
-        )
+    defect = _checked_defect(z, w, fs.K, fs.L, defect_max)
     c = coefficient_vector(z, w, fs.K, fs.L)
     v = fs.basis_columns @ c
     v = v / np.linalg.norm(v)
@@ -283,8 +290,7 @@ def uncertainty_product(fs: FockStructure, z: complex, w: complex,
 
 
 def bicoherent_family(riesz: GFrame, z: complex, w: complex,
-                      defect_max: float = 1e-10,
-                      tol_eq: float = TOL_EQ) -> BicoherentFamily:
+                      defect_max: float = 1e-10) -> BicoherentFamily:
     """Coherent triple over a Riesz operator basis.
 
     Everything comes from one thin SVD T = W Σ V† of the stacked blocks.  The
@@ -294,13 +300,14 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
     orthonormal to round-off however ill-conditioned T is.  With C = V W†,
     the Riesz columns are X C = T† and the dual and inverse-factor columns
     S^{-1} X C and X^{-1} C are both V Σ^{-1} W†, so the dual and "up"
-    states and operators collapse to one set.
+    states and operators collapse to one set.  The Riesz test is
+    `classify`'s, on the ratios of the singular values.
     """
     T = analysis(riesz)
     W, s, Vh = np.linalg.svd(T, full_matrices=False)
     n = riesz.hilbert_dim
-    is_frame = s.size == n and s[-1] ** 2 > TOL_PD * s[0] ** 2
-    if not (is_frame and int(np.sum(s > TOL_RANK * s[0])) == riesz.total_dim):
+    _, is_frame, rank = _spectral_rules(s, n)
+    if not (is_frame and rank == riesz.total_dim):
         raise NotRieszBasis("bicoherent_family requires a Riesz operator basis")
     dims = riesz.block_dims
     if len(set(dims)) != 1:
@@ -308,15 +315,8 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
 
     polar = W @ Vh
     gon = GFrame(n, tuple(np.split(polar, len(dims))))
-    fs = build_fock(gon, tol_eq=max(tol_eq, 1e-9))
-
-    defect = truncation_defect(z, w, fs.K, fs.L)
-    if defect > defect_max:
-        kr, lr = required_truncation(z, w, defect_max)
-        raise TruncationTooSevere(
-            f"defect {defect:.3e} exceeds {defect_max:.1e}",
-            required_k=kr, required_l=lr,
-        )
+    fs = build_fock(gon, tol_eq=TOL_FLOOR)
+    defect = _checked_defect(z, w, fs.K, fs.L, defect_max)
 
     V = Vh.conj().T
     U_cols = T.conj().T

@@ -11,12 +11,10 @@ import numpy as np
 
 from .errors import IsRieszBasis, NotADual, NotAFrame, ShapeMismatch, ZeroProbe
 from .frames import GFrame, _row_blocks, analysis, canonical_dual, check_dual_pair, classify
-from .linalg import TOL_EQ, TOL_RANK, fro, projector_gap
-
-PROJECTOR_TOL = 1e-8  # looser than TOL_EQ: two range bases compound error
+from .linalg import PROJECTOR_TOL, TOL_EQ, fro, projector_gap
 
 
-def kernel_vector(F: GFrame, seed: int = 0, tol_rank: float = TOL_RANK) -> np.ndarray:
+def kernel_vector(F: GFrame, seed: int = 0) -> np.ndarray:
     """Unit vector orthogonal to the analysis range, deterministically chosen.
 
     A complex Gaussian vector drawn from `default_rng(seed)` (seed >= 0) has
@@ -26,7 +24,7 @@ def kernel_vector(F: GFrame, seed: int = 0, tol_rank: float = TOL_RANK) -> np.nd
     are O(m n) for m stacked rows.  The vector is re-signed so its first
     nonzero entry is real positive.
     """
-    U = F.range_basis(tol_rank)
+    U = F.range_basis()
     m = F.total_dim
     if U.shape[1] >= m:
         raise IsRieszBasis("analysis operator is surjective; no kernel vector")
@@ -64,8 +62,7 @@ def construct_alternate_dual(F: GFrame, g0, seed: int = 0) -> GFrame:
     return GFrame(F.hilbert_dim, _row_blocks(T, F.block_dims))
 
 
-def check_similar(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ,
-                  tol_proj: float = PROJECTOR_TOL):
+def check_similar(F: GFrame, G: GFrame):
     """Invertible X with F_j = G_j X for all j, or None.
 
     Two frames are similar exactly when their analysis operators have the
@@ -80,7 +77,7 @@ def check_similar(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ,
         raise ShapeMismatch("similarity check needs identical block shapes")
     UF = F.range_basis()
     # ||P_F||_F = sqrt(rank F)
-    if projector_gap(UF, G.range_basis()) > tol_proj * max(1.0, np.sqrt(UF.shape[1])):
+    if projector_gap(UF, G.range_basis()) > PROJECTOR_TOL * max(1.0, np.sqrt(UF.shape[1])):
         return None
     TF, TG = analysis(F), analysis(G)
     s, Vh = G.spectrum
@@ -93,7 +90,7 @@ def check_similar(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ,
     starts = np.cumsum((0,) + F.block_dims[:-1])
     err = np.hypot.reduceat(np.hypot.reduce(np.abs(TG @ X - TF), axis=1), starts)
     ref = np.hypot.reduceat(np.hypot.reduce(np.abs(TF), axis=1), starts)
-    if not np.all(err <= tol_eq * np.maximum(1.0, ref)):
+    if not np.all(err <= TOL_EQ * np.maximum(1.0, ref)):
         return None
     return X
 
@@ -119,8 +116,7 @@ def dual_norm_decomposition(F: GFrame, G: GFrame, f):
     )
 
 
-def gram_characterization(F: GFrame, Th: GFrame, G: GFrame,
-                          tol_eq: float = TOL_EQ) -> bool:
+def gram_characterization(F: GFrame, Th: GFrame, G: GFrame) -> bool:
     """True iff T_Th† T_Th = T_Th† T_G; holds for every dual G exactly when
     Th is the canonical dual."""
     if not check_dual_pair(F, Th):
@@ -131,4 +127,4 @@ def gram_characterization(F: GFrame, Th: GFrame, G: GFrame,
     T_G = analysis(G)
     M1 = T_Th.conj().T @ T_Th
     M2 = T_Th.conj().T @ T_G
-    return fro(M1 - M2) <= tol_eq * max(1.0, fro(M1))
+    return fro(M1 - M2) <= TOL_EQ * max(1.0, fro(M1))

@@ -11,10 +11,6 @@ class NonFinite(GFrameError):
     """Input contains NaN or Inf entries."""
 
 
-class NotHermitian(GFrameError):
-    """Matrix fails the Hermitian symmetry check."""
-
-
 class NotPositiveDefinite(GFrameError):
     """Matrix fails the positive-definiteness threshold."""
 

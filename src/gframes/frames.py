@@ -32,6 +32,19 @@ from .linalg import TOL_EQ, TOL_PD, TOL_RANK, as_cmatrix, fro
 _ITEM = np.dtype(np.complex128).itemsize
 
 
+def _spectral_rules(s: np.ndarray, n: int) -> tuple:
+    """(ratio2, is_frame, rank) from the singular values s (descending) of
+    an analysis matrix with n columns.
+
+    ratio2 is (sigma_min / sigma_max)^2, and 0 with fewer than n values; the
+    frame rule is ratio2 > TOL_PD and the rank counts the values above
+    TOL_RANK * sigma_max.  Both rules read ratios of singular values, never
+    their squares, so they do not change when T is rescaled and cannot
+    overflow or underflow where T itself does not."""
+    ratio2 = float((s[-1] / s[0]) ** 2) if s.size == n and s[0] > 0.0 else 0.0
+    return ratio2, ratio2 > TOL_PD, int(np.sum(s > TOL_RANK * s[0]))
+
+
 def _row_blocks(T: np.ndarray, dims) -> tuple:
     """Consecutive row slices of T with heights `dims`."""
     ends = np.cumsum(dims).tolist()
@@ -119,16 +132,15 @@ class GFrame:
         _, s, Vh = np.linalg.svd(self.matrix, full_matrices=False)
         return s, Vh
 
-    def rank(self, tol_rank: float = TOL_RANK) -> int:
-        """Number of singular values above tol_rank * sigma_max."""
-        s = self.spectrum[0]
-        return int(np.sum(s > tol_rank * s[0]))
+    def rank(self) -> int:
+        """Number of singular values above TOL_RANK * sigma_max."""
+        return _spectral_rules(self.spectrum[0], self.hilbert_dim)[2]
 
-    def range_basis(self, tol_rank: float = TOL_RANK) -> np.ndarray:
+    def range_basis(self) -> np.ndarray:
         """Orthonormal basis of the analysis range, as the columns of an
         m x r matrix: the Q factor of T V_r, with V_r the right singular
-        vectors of the r = rank(tol_rank) leading singular values."""
-        r = self.rank(tol_rank)
+        vectors of the r = rank() leading singular values."""
+        r = self.rank()
         if r == 0:
             return np.zeros((self.total_dim, 0), dtype=np.complex128)
         Q, _ = np.linalg.qr(self.matrix @ self.spectrum[1][:r].conj().T)
@@ -202,12 +214,12 @@ def _times_inverse_root(F: GFrame, k: int) -> GFrame:
 _SQRT_MAX = float(np.sqrt(np.finfo(np.float64).max))
 
 
-def frame_bounds(F: GFrame, tol_eq: float = TOL_EQ, tol_pd: float = TOL_PD) -> FrameBounds:
+def frame_bounds(F: GFrame, tol_eq: float = TOL_EQ) -> FrameBounds:
     """Optimal bounds: the spectral extremes sigma_min^2 and sigma_max^2 of
     the frame operator (the lower one is 0 with fewer than n rows).
 
     The flags compare the ratio sigma_min / sigma_max with the tolerances,
-    as lower > tol_pd * upper and |upper - lower| <= tol_eq * upper would,
+    as lower > TOL_PD * upper and |upper - lower| <= tol_eq * upper would,
     so they do not change when T is rescaled.  A non-frame (degenerate
     lower bound) is a value, not an error; an upper bound beyond binary64
     raises NonFinite.
@@ -216,26 +228,24 @@ def frame_bounds(F: GFrame, tol_eq: float = TOL_EQ, tol_pd: float = TOL_PD) -> F
     if s[0] > _SQRT_MAX:
         raise NonFinite(f"upper frame bound overflows: sigma_max = {s[0]:.3e}")
     upper = float(s[0] ** 2)
-    full = s.size == F.hilbert_dim
-    lower = float(s[-1] ** 2) if full else 0.0
-    ratio2 = float((s[-1] / s[0]) ** 2) if full and s[0] > 0.0 else 0.0
-    is_frame = ratio2 > tol_pd
+    lower = float(s[-1] ** 2) if s.size == F.hilbert_dim else 0.0
+    ratio2, is_frame, _ = _spectral_rules(s, F.hilbert_dim)
     is_tight = is_frame and 1.0 - ratio2 <= tol_eq
     is_parseval = is_tight and abs(lower - 1.0) <= tol_eq
     return FrameBounds(lower, upper, is_frame, is_tight, is_parseval)
 
 
-def canonical_dual(F: GFrame, tol_eq: float = TOL_EQ) -> GFrame:
+def canonical_dual(F: GFrame) -> GFrame:
     """The family Lambda_j S^{-1}; a (1/B, 1/A) frame whose own dual is F."""
-    if not frame_bounds(F, tol_eq=tol_eq).is_frame:
+    if not frame_bounds(F).is_frame:
         raise NotAFrame("canonical dual requires a frame")
     return _times_inverse_root(F, 2)
 
 
-def parseval_transform(F: GFrame, tol_eq: float = TOL_EQ) -> GFrame:
+def parseval_transform(F: GFrame) -> GFrame:
     """The family Lambda_j S^{-1/2}; always Parseval, and an orthonormal
     operator basis whenever F is a Riesz operator basis."""
-    if not frame_bounds(F, tol_eq=tol_eq).is_frame:
+    if not frame_bounds(F).is_frame:
         raise NotAFrame("Parseval transform requires a frame")
     return _times_inverse_root(F, 1)
 
@@ -293,7 +303,7 @@ def _is_on_basis(T: np.ndarray, dims, tol_eq: float) -> bool:
     return fro(S) <= tol_eq * max(1.0, float(n)) * unit
 
 
-def classify(F: GFrame, tol_eq: float = TOL_EQ, tol_rank: float = TOL_RANK) -> Classification:
+def classify(F: GFrame, tol_eq: float = TOL_EQ) -> Classification:
     """Classification flags for an arbitrary operator family.
 
     Completeness <=> rank(T) = n; Riesz basis <=> frame whose analysis
@@ -304,7 +314,7 @@ def classify(F: GFrame, tol_eq: float = TOL_EQ, tol_rank: float = TOL_RANK) -> C
     """
     s = F.spectrum[0]
     bounds = frame_bounds(F, tol_eq=tol_eq)
-    rank = F.rank(tol_rank)
+    rank = F.rank()
     n, m = F.hilbert_dim, F.total_dim
     is_complete = rank == n
     is_frame = bounds.is_frame
@@ -334,14 +344,14 @@ def check_dual_pair(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ) -> bool:
     return fro(M - np.eye(F.hilbert_dim)) <= tol_eq * max(1.0, fro(M))
 
 
-def check_biorthogonal(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ) -> bool:
+def check_biorthogonal(F: GFrame, G: GFrame) -> bool:
     """True iff G_k F_j† = delta_jk * identity for all j, k: one Gram
     T_G T_F†, which cannot be the identity with more rows than columns."""
     if not F.same_shape(G):
         raise ShapeMismatch("biorthogonality check needs identical block shapes")
     if F.total_dim > F.hilbert_dim:
         return False
-    return _gram_is_identity(G.matrix, F.matrix, F.block_dims, tol_eq)
+    return _gram_is_identity(G.matrix, F.matrix, F.block_dims, TOL_EQ)
 
 
 def induce_vector_frame(F: GFrame) -> list:
@@ -366,7 +376,7 @@ def make_gon_basis(n: int, dims, rotation=None) -> GFrame:
     return GFrame(n, _row_blocks(U, dims))
 
 
-def make_griesz(gon: GFrame, X, tol_pd: float = TOL_PD) -> GFrame:
+def make_griesz(gon: GFrame, X) -> GFrame:
     """Riesz operator basis theta_j X from an orthonormal operator basis and an
     invertible X.  Bounds land in [||X^{-1}||^{-2}, ||X||^2]."""
     if not _is_on_basis(gon.matrix, gon.block_dims, TOL_EQ):
@@ -375,6 +385,6 @@ def make_griesz(gon: GFrame, X, tol_pd: float = TOL_PD) -> GFrame:
     if A.shape != (gon.hilbert_dim, gon.hilbert_dim):
         raise DimensionMismatch("X must be square of size hilbert_dim")
     s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] <= tol_pd * s[0]:
+    if s[-1] <= TOL_PD * s[0]:
         raise Singular(f"condition number {s[0] / max(s[-1], 1e-300):.3e} too large")
     return GFrame(gon.hilbert_dim, _row_blocks(gon.matrix @ A, gon.block_dims))

@@ -1,5 +1,5 @@
-"""Dense complex-matrix substrate: Hermitian eigendecompositions, spectral
-functions, norms, projector distances and random unitaries.
+"""Dense complex-matrix substrate: the tolerance policy, norms, projector
+distances and random unitaries.
 
 All tolerances are relative to the scale of the input (largest singular value
 or Frobenius norm); absolute tolerances are never used, so every routine is
@@ -9,12 +9,32 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFinite, NotHermitian, NotPositiveDefinite, NotUnitary
+from .errors import NonFinite, NotUnitary
 
-TOL_HERM = 1e-12
+# The tolerance policy: the thresholds of every frame, rank and equality
+# decision.  Only TOL_EQ can be replaced per call, by the `tol_eq` of
+# frame_bounds, classify, check_dual_pair and build_fock (the CLI's --tol).
+# The CLI's per-check report thresholds and the `defect_max` truncation
+# budgets of the coherent states are not tolerances of this kind.
+
+# frame rule: (sigma_min / sigma_max)^2 > TOL_PD, and make_griesz's
+# invertibility rule on the singular values of X
 TOL_PD = 1e-12
+# rank rule: the singular values above TOL_RANK * sigma_max
 TOL_RANK = 1e-10
+# equality rules: tight and Parseval bounds, orthonormal sets and bases,
+# dual pairs, biorthogonality, similarity, the Gram characterization and
+# unitary rotations, each relative to the scale of the compared matrices
 TOL_EQ = 1e-10
+# range equality in check_similar: looser than TOL_EQ, since the two range
+# bases compared each carry their own round-off
+PROJECTOR_TOL = 1e-8
+# floor on the equality tolerance where the family tested carries the
+# round-off of a computation (an alternate dual, the polar factor of a Riesz
+# basis, the rotated orthonormal basis of the CLI's coherent suite), which a
+# tighter TOL_EQ would reject; also the slack gavruta_check allows the
+# measured premise constant over m
+TOL_FLOOR = 1e-9
 
 
 def as_cmatrix(M) -> np.ndarray:
@@ -38,47 +58,6 @@ def opnorm(M) -> float:
     return float(np.linalg.norm(M, 2))
 
 
-def herm_eig(M, tol_herm: float = TOL_HERM):
-    """Eigendecomposition of a Hermitian matrix.
-
-    Returns (eigenvalues ascending, eigenvector matrix Q with columns the
-    eigenvectors).  The input is symmetrized to (M + M†)/2 once the symmetry
-    check passes, which removes round-off drift from products like T†T.
-    """
-    A = as_cmatrix(M)
-    if A.shape[0] != A.shape[1]:
-        raise ValueError("herm_eig requires a square matrix")
-    scale = fro(A)
-    if fro(A - A.conj().T) > tol_herm * max(scale, 1e-300):
-        raise NotHermitian(
-            f"asymmetry {fro(A - A.conj().T):.3e} exceeds {tol_herm:.1e} * ||M||"
-        )
-    A = (A + A.conj().T) / 2.0
-    w, Q = np.linalg.eigh(A)
-    return w, Q
-
-
-_SPECTRAL = {
-    "inverse": lambda w: 1.0 / w,
-    "sqrt": np.sqrt,
-    "inv_sqrt": lambda w: 1.0 / np.sqrt(w),
-}
-
-
-def herm_func(M, kind: str, tol_pd: float = TOL_PD) -> np.ndarray:
-    """Apply inverse, sqrt or inv_sqrt to a Hermitian positive-definite matrix
-    through its spectrum."""
-    if kind not in _SPECTRAL:
-        raise ValueError(f"unknown spectral function {kind!r}")
-    w, Q = herm_eig(M)
-    if w[0] <= tol_pd * max(w[-1], 0.0):
-        raise NotPositiveDefinite(
-            f"spectral floor {w[0]:.3e} below {tol_pd:.1e} * {w[-1]:.3e}"
-        )
-    F = (Q * _SPECTRAL[kind](w)) @ Q.conj().T
-    return (F + F.conj().T) / 2.0
-
-
 def projector_gap(U, V) -> float:
     """||U U† - V V†||_F for matrices U and V with orthonormal columns,
     without forming either m x m projector.
@@ -92,12 +71,12 @@ def projector_gap(U, V) -> float:
     return float(np.hypot(fro(U - V @ C), fro(V - U @ C.conj().T)))
 
 
-def check_unitary(U, tol: float = TOL_EQ) -> np.ndarray:
+def check_unitary(U) -> np.ndarray:
     A = as_cmatrix(U)
     if A.shape[0] != A.shape[1]:
         raise NotUnitary("unitary matrix must be square")
     n = A.shape[0]
-    if fro(A.conj().T @ A - np.eye(n)) > tol * max(1.0, fro(A)):
+    if fro(A.conj().T @ A - np.eye(n)) > TOL_EQ * max(1.0, fro(A)):
         raise NotUnitary("U†U deviates from the identity beyond tolerance")
     return A
 

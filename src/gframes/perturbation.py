@@ -102,7 +102,7 @@ def perturbation_maximizer(F: GFrame, G: GFrame, side: str = "lambda"):
     return f / np.linalg.norm(f)
 
 
-def one_sided_M(F: GFrame, G: GFrame, tol_pd: float = linalg.TOL_PD):
+def one_sided_M(F: GFrame, G: GFrame):
     """One-sided constant with the perturbed family in the denominator, and
     the lower frame bound it guarantees for G once G is Bessel.
 
@@ -113,7 +113,7 @@ def one_sided_M(F: GFrame, G: GFrame, tol_pd: float = linalg.TOL_PD):
     bF = frame_bounds(F)
     if not bF.is_frame:
         raise NotAFrame("one_sided_M requires the reference family to be a frame")
-    if not frame_bounds(G, tol_pd=tol_pd).is_frame:
+    if not frame_bounds(G).is_frame:
         raise DegenerateTheta("denominator frame operator is singular")
     m3 = _pencil_max(analysis(F) - analysis(G), G)
     return m3, bF.lower / (2.0 * m3 + 2.0)
@@ -142,13 +142,13 @@ def _sampled_premise(V: np.ndarray, n: float, samples: int, seed: int):
 
 
 def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
-                  samples: int = 10_000, seed: int = 0,
-                  tol: float = 1e-9) -> GavrutaReport:
+                  samples: int = 10_000, seed: int = 0) -> GavrutaReport:
     """Verify the closeness premise ||f - Vf|| <= m ||f|| + n ||Vf|| for
     V = T_F† T_G and report the guaranteed lower frame bounds it implies.
 
     For n = 0 the premise is exactly sigma_max(I - V) <= m; for n != 0 it is
-    checked by seeded dense sampling, and a refuting witness raises."""
+    checked by seeded dense sampling, and a refuting witness raises.  A
+    measured constant up to TOL_FLOOR above m is taken as round-off."""
     if not F.same_shape(G):
         raise ShapeMismatch("gavruta_check needs identical block shapes")
     if m >= 1.0:
@@ -172,11 +172,11 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
         m_measured = linalg.opnorm(I - V)
     else:
         m_measured, witness = _sampled_premise(V, n, samples, seed)
-        if m_measured > m + tol:
+        if m_measured > m + linalg.TOL_FLOOR:
             raise PremiseNotVerifiable(
                 f"sampled ratio {m_measured:.6e} exceeds m={m}", witness=witness
             )
-    if n == 0.0 and m_measured > m + tol:
+    if n == 0.0 and m_measured > m + linalg.TOL_FLOOR:
         raise PremiseNotVerifiable(
             f"sigma_max(I - V) = {m_measured:.6e} exceeds m={m}"
         )

@@ -171,10 +171,13 @@ class TestCoherentState:
         assert np.linalg.norm(c) ** 2 == pytest.approx(1 - defect, abs=1e-12)
 
     def test_truncation_too_severe(self, rng):
-        fs = gf.build_fock(gf.make_gon_basis(10, tuple([10])))
-        with pytest.raises(TruncationTooSevere) as exc:
-            gf.coherent_state(fs, 6.0, 0.0)
-        assert exc.value.required_k > 10
+        gon = gf.make_gon_basis(10, tuple([10]))
+        fs = gf.build_fock(gon)
+        for build in (lambda: gf.coherent_state(fs, 6.0, 0.0),
+                      lambda: gf.bicoherent_family(gon, 6.0, 0.0, defect_max=1e-8)):
+            with pytest.raises(TruncationTooSevere, match=r"need K >= \d+, L >= 1") as exc:
+                build()
+            assert exc.value.required_k > 10
 
 
 class TestLadderOps:
@@ -448,6 +451,21 @@ class TestBicoherent:
         assert fro(fam.v_columns.conj().T @ fam.u_columns - np.eye(64)) <= 1e-9
         C = fam.fock.basis_columns
         assert fro(C.conj().T @ C - np.eye(64)) <= 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_riesz_rule_is_scale_invariant(self, scale):
+        # the Riesz rule compares ratios of singular values: their squares
+        # underflow at 1e-170 and overflow at 1e160
+        rng = np.random.default_rng(0)
+        gon = gf.make_gon_basis(8, (4, 4), rotation=random_unitary(8, rng))
+        G = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        riesz = gf.make_griesz(gon, np.eye(8) + 0.1 * G)
+        ref = gf.bicoherent_family(riesz, 0.2, 0.1, defect_max=1.0)
+        fam = gf.bicoherent_family(riesz.map_blocks(lambda B: scale * B), 0.2, 0.1,
+                                   defect_max=1.0)
+        assert fro(fam.v_columns.conj().T @ fam.u_columns - np.eye(8)) <= 1e-12
+        assert fro(fam.a_up - ref.a_up) <= 1e-12 * fro(ref.a_up)
 
     def test_riesz_test_agrees_with_classify(self, rng, mercedes):
         gon = random_gon(rng, 16, (4,) * 4)

@@ -1,87 +1,15 @@
 import numpy as np
 import pytest
 
+import gframes as gf
 from gframes import GFrame, linalg
-from gframes.errors import NonFinite, NotHermitian, NotPositiveDefinite
+from gframes.errors import NonFinite
 
 
-def random_hermitian(rng, n):
-    A = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (A + A.conj().T) / 2
-
-
-class TestHermEig:
-    def test_identity(self):
-        w, Q = linalg.herm_eig(np.eye(3))
-        np.testing.assert_allclose(w, [1, 1, 1])
-
-    def test_diagonal_sorted_ascending(self):
-        w, _ = linalg.herm_eig(np.diag([4.0, 1.0]))
-        np.testing.assert_allclose(w, [1.0, 4.0])
-
-    def test_reconstruction(self, rng):
-        M = random_hermitian(rng, 6)
-        w, Q = linalg.herm_eig(M)
-        err = np.linalg.norm((Q * w) @ Q.conj().T - M)
-        assert err <= 1e-10 * np.linalg.norm(M)
-        assert np.linalg.norm(Q.conj().T @ Q - np.eye(6)) <= 1e-12
-
-    def test_rejects_nonhermitian(self):
-        with pytest.raises(NotHermitian):
-            linalg.herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_rejects_nan(self):
-        with pytest.raises(NonFinite):
-            linalg.herm_eig(np.array([[np.nan, 0.0], [0.0, 1.0]]))
-
-    def test_rayleigh_quotient_within_spectral_extremes(self, rng):
-        M = random_hermitian(rng, 5)
-        w, _ = linalg.herm_eig(M)
-        lo = hi = None
-        for _ in range(200):
-            f = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-            r = (np.vdot(f, M @ f) / np.vdot(f, f)).real
-            lo = r if lo is None else min(lo, r)
-            hi = r if hi is None else max(hi, r)
-        assert w[0] - 1e-8 <= lo and hi <= w[-1] + 1e-8
-
-
-class TestHermFunc:
-    def test_diag_sqrt(self):
-        out = linalg.herm_func(np.diag([4.0, 1.0]), "sqrt")
-        np.testing.assert_allclose(out, np.diag([2.0, 1.0]), atol=1e-12)
-
-    def test_diag_inv_sqrt(self):
-        out = linalg.herm_func(np.diag([4.0, 1.0]), "inv_sqrt")
-        np.testing.assert_allclose(out, np.diag([0.5, 1.0]), atol=1e-12)
-
-    def test_inverse_multiplies_back(self, rng):
-        X = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-        S = X.conj().T @ X + np.eye(5)  # comfortably invertible
-        Si = linalg.herm_func(S, "inverse")
-        assert np.linalg.norm(S @ Si - np.eye(5)) <= 1e-10 * np.linalg.norm(S)
-
-    def test_sqrt_squares_back(self, rng):
-        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        S = X.conj().T @ X + 0.1 * np.eye(4)
-        R = linalg.herm_func(S, "sqrt")
-        assert np.linalg.norm(R @ R - S) <= 1e-10 * np.linalg.norm(S)
-
-    def test_composition_is_identity(self, rng):
-        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        S = X.conj().T @ X + 0.1 * np.eye(4)
-        a = linalg.herm_func(S, "inv_sqrt")
-        b = linalg.herm_func(S, "sqrt")
-        out = a @ b @ b @ a
-        assert np.linalg.norm(out - np.eye(4)) <= 1e-9
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefinite):
-            linalg.herm_func(np.diag([1.0, -1.0]), "sqrt")
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError):
-            linalg.herm_func(np.eye(2), "exp")
+def test_make_griesz_rejects_non_finite_factor():
+    gon = gf.make_gon_basis(2, (1, 1))
+    with pytest.raises(NonFinite):
+        gf.make_griesz(gon, np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 def range_basis(M):
