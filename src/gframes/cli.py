@@ -77,14 +77,6 @@ class ReportBuilder:
         return self.doc
 
 
-def _classification_dict(cls):
-    return dataclasses.asdict(cls)
-
-
-def _bounds_dict(b):
-    return dataclasses.asdict(b)
-
-
 def _energies(T, F):
     """Analysis energies ||T f||^2 of each column f of F."""
     return np.sum(np.abs(T @ F) ** 2, axis=0)
@@ -98,8 +90,8 @@ def _worst(excess):
 def run_classify(args, report, frame, name):
     cls = frames.classify(frame, tol_eq=args.tol)
     bounds = frames.frame_bounds(frame, tol_eq=args.tol)
-    report.set("classification", _classification_dict(cls))
-    report.set("bounds", _bounds_dict(bounds))
+    report.set("classification", dataclasses.asdict(cls))
+    report.set("bounds", dataclasses.asdict(bounds))
     rng = np.random.default_rng(args.seed)
     F = random_units(rng, frame.hilbert_dim, args.samples)
     e = _energies(frames.analysis(frame), F)
@@ -112,8 +104,8 @@ def run_dual(args, report, frame, name):
     bounds = frames.frame_bounds(frame, tol_eq=args.tol)
     dual = frames.canonical_dual(frame)
     dual_bounds = frames.frame_bounds(dual, tol_eq=args.tol)
-    report.set("bounds", _bounds_dict(bounds))
-    report.set("dual_bounds", _bounds_dict(dual_bounds))
+    report.set("bounds", dataclasses.asdict(bounds))
+    report.set("dual_bounds", dataclasses.asdict(dual_bounds))
     ok = frames.check_dual_pair(frame, dual, tol_eq=args.tol)
     report.add_check("dual_pair", ok, 0.0 if ok else 1.0, args.tol)
     err = max(
@@ -301,10 +293,12 @@ def main(argv=None) -> int:
             run_coherent(args, report, frame, name)
         elif args.command == "all":
             cls = run_classify(args, report, frame, name)
-            run_dual(args, report, frame, name)
-            if not cls.is_riesz_basis:
-                # --emit names the canonical dual, written by run_dual
-                run_alt_dual(args, report, frame, name, emit=False)
+            # a non-frame has no dual: its report is the classification
+            if cls.is_frame:
+                run_dual(args, report, frame, name)
+                if not cls.is_riesz_basis:
+                    # --emit names the canonical dual, written by run_dual
+                    run_alt_dual(args, report, frame, name, emit=False)
     except GFrameError as exc:
         print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
               file=sys.stderr)

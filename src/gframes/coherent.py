@@ -36,10 +36,6 @@ class FockStructure:
     basis_columns: np.ndarray  # n x (K*L); column l*K + k is t_k^(l)
     source: GFrame
 
-    @property
-    def dim(self):
-        return self.K * self.L
-
     def column(self, k: int, l: int) -> np.ndarray:
         return self.basis_columns[:, l * self.K + k]
 

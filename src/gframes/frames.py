@@ -110,9 +110,7 @@ class GFrame:
             # would change a frame whose spectrum may already be cached
             for A in blocks:
                 A.flags.writeable = False
-        if not np.isfinite(T).all():
-            raise NonFinite("matrix contains NaN or Inf entries")
-        object.__setattr__(self, "matrix", T)
+        object.__setattr__(self, "matrix", as_cmatrix(T))
         object.__setattr__(self, "blocks", _row_blocks(T, [A.shape[0] for A in blocks]))
 
     @property
@@ -131,6 +129,14 @@ class GFrame:
         V†.  U is not kept."""
         _, s, Vh = np.linalg.svd(self.matrix, full_matrices=False)
         return s, Vh
+
+    @cached_property
+    def canonical_dual(self) -> "GFrame":
+        """The family Lambda_j S^{-1}, formed once from the cached factor;
+        raises NotAFrame when the family is not a frame."""
+        if not frame_bounds(self).is_frame:
+            raise NotAFrame("canonical dual requires a frame")
+        return _times_inverse_root(self, 2)
 
     def rank(self) -> int:
         """Number of singular values above TOL_RANK * sigma_max."""
@@ -236,10 +242,9 @@ def frame_bounds(F: GFrame, tol_eq: float = TOL_EQ) -> FrameBounds:
 
 
 def canonical_dual(F: GFrame) -> GFrame:
-    """The family Lambda_j S^{-1}; a (1/B, 1/A) frame whose own dual is F."""
-    if not frame_bounds(F).is_frame:
-        raise NotAFrame("canonical dual requires a frame")
-    return _times_inverse_root(F, 2)
+    """The family Lambda_j S^{-1}; a (1/B, 1/A) frame whose own dual is F.
+    F forms it once, so every call on F returns the same frame."""
+    return F.canonical_dual
 
 
 def parseval_transform(F: GFrame) -> GFrame:
@@ -262,10 +267,16 @@ def _unit_scaled(A: np.ndarray):
     return A * unit, unit
 
 
-def _block_rule(G: np.ndarray, unit: float, dims, tol_eq: float) -> bool:
-    """Whether every block G_jk of the m x m Gram G (blocks of heights
-    `dims`) meets ||G_jk - delta_jk I||_F <= tol_eq * max(1, ||G_jk||_F),
-    with G given in units of `unit` (G / unit is the Gram itself)."""
+def _gram_is_identity(A: np.ndarray, B: np.ndarray, dims, tol_eq: float) -> bool:
+    """Whether every block G_jk of the m x m Gram G = A B† (blocks of
+    heights `dims`) meets ||G_jk - delta_jk I||_F <= tol_eq * max(1, ||G_jk||_F).
+
+    G is formed once from A and B scaled by powers of two, so that it cannot
+    overflow, and is compared in those units."""
+    As, a = _unit_scaled(A)
+    Bs, b = (As, a) if B is A else _unit_scaled(B)
+    unit = a * b
+    G = As @ Bs.conj().T
     g = G.diagonal().copy()
     G.flat[::G.shape[0] + 1] -= unit
     starts = np.cumsum((0,) + tuple(dims[:-1]))
@@ -278,61 +289,36 @@ def _block_rule(G: np.ndarray, unit: float, dims, tol_eq: float) -> bool:
     return bool(np.all(np.sqrt(err2) <= tol_eq * np.maximum(unit, np.sqrt(ref2))))
 
 
-def _gram_is_identity(A: np.ndarray, B: np.ndarray, dims, tol_eq: float) -> bool:
-    """The block rule of `_block_rule` on A B†, formed once from A and B
-    scaled by powers of two so that it cannot overflow."""
-    As, a = _unit_scaled(A)
-    Bs, b = (As, a) if B is A else _unit_scaled(B)
-    return _block_rule(As @ Bs.conj().T, a * b, dims, tol_eq)
-
-
 def _is_on_basis(T: np.ndarray, dims, tol_eq: float) -> bool:
     """Orthonormal operator basis test on a stacked analysis matrix, with no
-    decomposition: the block rule on T T† (orthonormal set) and
-    ||T†T - I||_F <= tol_eq * max(1, n) (S = I)."""
+    decomposition: T is square and T T† = I blockwise (orthonormal set)."""
     m, n = T.shape
-    if m > n:
-        return False
-    Ts, a = _unit_scaled(T)
-    unit = a * a
-    Th = Ts.conj().T
-    if not _block_rule(Ts @ Th, unit, dims, tol_eq):
-        return False
-    S = Th @ Ts
-    S.flat[::n + 1] -= unit
-    return fro(S) <= tol_eq * max(1.0, float(n)) * unit
+    return m == n and _gram_is_identity(T, T, dims, tol_eq)
 
 
 def classify(F: GFrame, tol_eq: float = TOL_EQ) -> Classification:
-    """Classification flags for an arbitrary operator family.
+    """Classification flags for an arbitrary operator family, one rule each.
 
     Completeness <=> rank(T) = n; Riesz basis <=> frame whose analysis
     operator is surjective, i.e. rank(T) = sum d_j.  Orthonormal set <=>
     T T† = I blockwise: with more rows than columns T T† has rank at most
     n < m, so ||T T† - I||_F >= 1 and the answer is no (at any tolerance
     below 1/(2m)); otherwise one m x m Gram is tested block by block.
+    Orthonormal basis <=> orthonormal set that is a Riesz basis (Sun 2006),
+    so the implication chain holds at every tolerance.
     """
-    s = F.spectrum[0]
     bounds = frame_bounds(F, tol_eq=tol_eq)
     rank = F.rank()
     n, m = F.hilbert_dim, F.total_dim
-    is_complete = rank == n
-    is_frame = bounds.is_frame
-    is_riesz = is_frame and rank == m
-
+    is_riesz = bounds.is_frame and rank == m
     is_on_set = m <= n and _gram_is_identity(F.matrix, F.matrix, F.block_dims, tol_eq)
-    # S - I has eigenvalues sigma^2 - 1, and -1 on the n - m missing ones;
-    # hypot sums their squares without overflow
-    gap = np.hypot.reduce(np.concatenate((s ** 2 - 1.0, np.ones(n - s.size))))
-    is_on_basis = is_on_set and bool(gap <= tol_eq * max(1.0, float(n)))
-
     return Classification(
         is_bessel=True,  # finite families always admit an upper bound
-        is_frame=is_frame,
-        is_complete=is_complete,
+        is_frame=bounds.is_frame,
+        is_complete=rank == n,
         is_orthonormal_set=is_on_set,
-        is_on_basis=is_on_basis,
-        is_riesz_basis=is_riesz or is_on_basis,
+        is_on_basis=is_on_set and is_riesz,
+        is_riesz_basis=is_riesz,
     )
 
 
@@ -378,13 +364,14 @@ def make_gon_basis(n: int, dims, rotation=None) -> GFrame:
 
 def make_griesz(gon: GFrame, X) -> GFrame:
     """Riesz operator basis theta_j X from an orthonormal operator basis and an
-    invertible X.  Bounds land in [||X^{-1}||^{-2}, ||X||^2]."""
+    invertible X, which must pass the frame rule of `_spectral_rules` as
+    `classify` reads it.  Bounds land in [||X^{-1}||^{-2}, ||X||^2]."""
     if not _is_on_basis(gon.matrix, gon.block_dims, TOL_EQ):
         raise NotOnBasis("make_griesz requires an orthonormal operator basis")
     A = as_cmatrix(X)
     if A.shape != (gon.hilbert_dim, gon.hilbert_dim):
         raise DimensionMismatch("X must be square of size hilbert_dim")
     s = np.linalg.svd(A, compute_uv=False)
-    if s[-1] <= TOL_PD * s[0]:
+    if not _spectral_rules(s, gon.hilbert_dim)[1]:
         raise Singular(f"condition number {s[0] / max(s[-1], 1e-300):.3e} too large")
     return GFrame(gon.hilbert_dim, _row_blocks(gon.matrix @ A, gon.block_dims))

@@ -17,14 +17,14 @@ from .errors import NonFinite, NotUnitary
 # The CLI's per-check report thresholds and the `defect_max` truncation
 # budgets of the coherent states are not tolerances of this kind.
 
-# frame rule: (sigma_min / sigma_max)^2 > TOL_PD, and make_griesz's
-# invertibility rule on the singular values of X
+# frame rule: (sigma_min / sigma_max)^2 > TOL_PD, which make_griesz also
+# applies to the singular values of X
 TOL_PD = 1e-12
 # rank rule: the singular values above TOL_RANK * sigma_max
 TOL_RANK = 1e-10
-# equality rules: tight and Parseval bounds, orthonormal sets and bases,
-# dual pairs, biorthogonality, similarity, the Gram characterization and
-# unitary rotations, each relative to the scale of the compared matrices
+# equality rules: tight and Parseval bounds, orthonormal sets, dual pairs,
+# biorthogonality, similarity, the Gram characterization and unitary
+# rotations, each relative to the scale of the compared matrices
 TOL_EQ = 1e-10
 # range equality in check_similar: looser than TOL_EQ, since the two range
 # bases compared each carry their own round-off

@@ -49,6 +49,17 @@ def count_decompositions(monkeypatch) -> list:
     return calls
 
 
+def count_inverse_roots(monkeypatch) -> list:
+    """Wrap frames._times_inverse_root, which forms canonical duals (k = 2)
+    and Parseval transforms (k = 1); the returned list collects k per call."""
+    from gframes import frames
+    formed = []
+    inverse_root = frames._times_inverse_root
+    monkeypatch.setattr(frames, "_times_inverse_root",
+                        lambda F, k: formed.append(k) or inverse_root(F, k))
+    return formed
+
+
 def decomposition_counts(calls) -> Counter:
     return Counter(name for name, _ in calls)
 

@@ -14,7 +14,7 @@ import pytest
 
 import gframes as gf
 from gframes import duality, frame_io, frames, perturbation
-from gframes.errors import NonFinite, NotOnBasis
+from gframes.errors import NonFinite, NotOnBasis, Singular
 from gframes.linalg import TOL_EQ, TOL_PD, TOL_RANK, fro, random_unitary
 
 from conftest import (
@@ -43,7 +43,10 @@ def rel(A, B):
 
 def classify_reference(F, tol_eq=TOL_EQ, tol_rank=TOL_RANK, tol_pd=TOL_PD):
     """classify as written with per-block loops: the bounds from eigvalsh of
-    S, the rank from a second SVD, and the J^2 loop of block products."""
+    S, the rank from a second SVD, and the J^2 loop of block products.  The
+    orthonormal-basis flag keeps the independent rule ||S - I||_F <=
+    tol * max(1, n), which agrees with orthonormal set and Riesz basis at
+    the default tolerance."""
     T = np.vstack(F.blocks)
     n, m = F.hilbert_dim, T.shape[0]
     S = T.conj().T @ T
@@ -256,9 +259,34 @@ def test_block_rule_matches_per_block_loop_near_threshold(rng, mercedes):
         assert dataclasses.asdict(gf.classify(F)) == classify_reference(F)
 
 
+def test_griesz_accepts_exactly_what_classify_calls_riesz(rng):
+    """make_griesz shares the frame rule: at cond(X) either side of
+    TOL_PD^{-1/2} = 1e6 it succeeds exactly when the family it would
+    build is a Riesz basis."""
+    n = 8
+    gon = random_gon(rng, n, (2,) * 4)
+    U, V = random_unitary(n, rng), random_unitary(n, rng)
+    made = []
+    for cond_x in (1e4, 10 ** 5.9, 10 ** 6.1, 1e8):
+        X = (U * np.geomspace(1.0, cond_x, n)) @ V.conj().T
+        riesz = gf.classify(gf.GFrame(n, tuple(np.split(gon.matrix @ X, 4)))).is_riesz_basis
+        try:
+            gf.make_griesz(gon, X)
+            made.append(True)
+        except Singular:
+            made.append(False)
+        assert made[-1] == riesz
+    assert made == [True, True, False, False]
+
+
 def test_griesz_basis_rule_agrees_with_classify(rng, mercedes):
     for F, expected in on_basis_cases(rng, mercedes):
         assert gf.classify(F).is_on_basis == expected
+        # at any tolerance classify returns (it raises when an orthonormal
+        # basis is no Riesz basis) and an orthonormal basis is a Riesz basis
+        for tol in (1e-10, 1e-6, 0.3, 1.5):
+            cls = gf.classify(F, tol_eq=tol)
+            assert cls.is_riesz_basis or not cls.is_on_basis
         if expected:
             gf.make_griesz(F, 2.0 * np.eye(F.hilbert_dim))
         else:

@@ -11,7 +11,7 @@ from gframes.errors import (
 )
 from gframes.linalg import fro, random_unitary
 
-from conftest import random_frame, random_gon
+from conftest import count_inverse_roots, random_frame, random_gon
 
 
 def coordinate_slicing():
@@ -139,6 +139,15 @@ class TestCanonicalDual:
         F = gf.GFrame(2, (np.zeros((2, 2)),))
         with pytest.raises(NotAFrame):
             gf.canonical_dual(F)
+
+    def test_formed_once_per_frame(self, rng, monkeypatch):
+        formed = count_inverse_roots(monkeypatch)
+        F = random_frame(rng, 4, (3, 2))
+        D = gf.canonical_dual(F)
+        assert gf.canonical_dual(F) is D
+        gf.construct_alternate_dual(F, np.ones(4))
+        gf.dual_norm_decomposition(F, D, np.ones(4))
+        assert formed == [2]
 
 
 class TestParsevalTransform:

@@ -12,7 +12,7 @@ import gframes as gf
 from gframes import cli, frame_io, linalg
 from gframes.errors import ParseError, SchemaError
 
-from conftest import random_frame
+from conftest import count_inverse_roots, random_frame
 
 
 def doc_for(frame, metadata=None):
@@ -342,6 +342,47 @@ class TestCli:
         assert cli.main(["all", mercedes_path, "--seed", "7", "--out", str(b)]) == 0
         capsys.readouterr()
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("spec, tol", [("onset3", "0.3"), ("onset3", "0.9"),
+                                           ("onset3", "1.5"), ("onset3", "env"),
+                                           ("singular", "1.5")])
+    def test_loose_tolerance_reports_non_frames(self, tmp_path, capsys,
+                                                monkeypatch, spec, tol):
+        """Three orthonormal rows in C^4 and two equal rows in C^2 pass the
+        orthonormal-set rule at a loose --tol, but are no frames, so neither
+        is an orthonormal basis.  classify reports that, and all reports the
+        same classification with no duality suite, since no dual exists."""
+        if spec == "onset3":
+            U = linalg.random_unitary(4, np.random.default_rng(5))
+            frame = gf.GFrame(4, tuple(np.split(U[:3], 3)))
+        else:
+            frame = gf.GFrame(2, (np.array([[1.0, 0.0]]),) * 2)
+        p = tmp_path / f"{spec}.frame"
+        frame_io.save(p, frame, {"name": spec})
+        if tol == "env":
+            monkeypatch.setenv("GFRAME_TOL", "0.9")
+            extra = []
+        else:
+            extra = ["--tol", tol]
+
+        reports = []
+        for command in ("classify", "all"):
+            assert cli.main([command, str(p)] + extra) in (0, 1)
+            out, err = capsys.readouterr()
+            assert err == ""
+            reports.append(json.loads(out))
+        cls = reports[0]["classification"]
+        assert cls["is_orthonormal_set"]
+        assert not (cls["is_frame"] or cls["is_riesz_basis"] or cls["is_on_basis"])
+        assert reports[1]["classification"] == cls
+        assert "dual_bounds" not in reports[1]
+
+    def test_all_forms_the_canonical_dual_once(self, mercedes_path, capsys,
+                                               monkeypatch):
+        formed = count_inverse_roots(monkeypatch)
+        assert cli.main(["all", mercedes_path]) == 0
+        capsys.readouterr()
+        assert formed == [2]
 
     def test_classify_at_1e100_matches_unscaled(self, tmp_path, capsys):
         """A random 3-block (2 x 4) complex frame scaled by 1e100 gets the
