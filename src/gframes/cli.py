@@ -253,6 +253,11 @@ def build_parser():
     return parser
 
 
+def _fail(code, error, detail):
+    print(json.dumps({"error": error, "detail": detail}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -264,23 +269,10 @@ def main(argv=None) -> int:
             raise UsageError(f"--seed must be non-negative, got {args.seed}")
         if not 0.0 < args.tol < np.inf:
             raise UsageError(f"--tol must be positive and finite, got {args.tol}")
-        loaded = []
-        for path in args.files:
-            try:
-                frame, meta = frame_io.load(path)
-            except OSError as exc:
-                print(json.dumps({"error": "io", "detail": str(exc)}),
-                      file=sys.stderr)
-                return EXIT_INPUT_ERROR
-            loaded.append((frame, meta.get("name", os.path.basename(path))))
-    except (ParseError, SchemaError, UsageError) as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_INPUT_ERROR
-
-    frame, name = loaded[0]
-    report = ReportBuilder(name, args)
-    try:
+        loaded = [frame_io.load(path) for path in args.files]
+        frame, meta = loaded[0]
+        name = meta.get("name", os.path.basename(args.files[0]))
+        report = ReportBuilder(name, args)
         if args.command == "classify":
             run_classify(args, report, frame, name)
         elif args.command == "dual":
@@ -299,17 +291,15 @@ def main(argv=None) -> int:
                 if not cls.is_riesz_basis:
                     # --emit names the canonical dual, written by run_dual
                     run_alt_dual(args, report, frame, name, emit=False)
-    except GFrameError as exc:
-        print(json.dumps({"error": type(exc).__name__, "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    except np.linalg.LinAlgError as exc:
-        print(json.dumps({"error": "LinAlgError", "detail": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-
-    doc = report.finish()
-    emit(doc, args)
+        doc = report.finish()
+        emit(doc, args)
+    # the input-error classes subclass GFrameError, so they come first
+    except OSError as exc:
+        return _fail(EXIT_INPUT_ERROR, "io", str(exc))
+    except (ParseError, SchemaError, UsageError) as exc:
+        return _fail(EXIT_INPUT_ERROR, type(exc).__name__, str(exc))
+    except (GFrameError, np.linalg.LinAlgError) as exc:
+        return _fail(EXIT_NUMERICAL, type(exc).__name__, str(exc))
     return EXIT_OK if doc["status"] == "pass" else EXIT_CHECK_FAILED
 
 

@@ -165,10 +165,9 @@ def build_fock(gon: GFrame, tol_eq: float = TOL_EQ) -> FockStructure:
         raise NonUniformBlocks(f"block dimensions {dims} are not uniform")
     K = dims[0]
     L = len(dims)
-    T = analysis(gon)
-    if not _is_on_basis(T, dims, tol_eq):
+    if not _is_on_basis(gon, tol_eq):
         raise NotOnBasis("build_fock requires an orthonormal operator basis")
-    return FockStructure(K=K, L=L, basis_columns=T.conj().T, source=gon)
+    return FockStructure(K=K, L=L, basis_columns=analysis(gon).conj().T, source=gon)
 
 
 def coherent_state(fs: FockStructure, z: complex, w: complex,

@@ -19,7 +19,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from .errors import ParseError, SchemaError
-from .frames import GFrame, _row_blocks
+from .frames import GFrame
 
 _TOP_FIELDS = {"hilbert_dim", "blocks", "metadata"}
 _BLOCK_FIELDS = {"rows", "matrix"}
@@ -38,47 +38,33 @@ def _entry(value, where):
 
 
 def _walk_block(mat, n, where) -> np.ndarray:
-    """Entry-by-entry read of a block; raises naming the first bad entry."""
-    M = np.empty((len(mat), n), dtype=np.complex128)
+    """Entry-by-entry read of a block; raises naming the first bad entry.
+    Each row's length is checked before its entries are read, so a huge n
+    fails as a short row rather than as an allocation."""
+    rows = []
     for r, row in enumerate(mat):
         if not isinstance(row, list) or len(row) != n:
             raise SchemaError(f"{where}.matrix[{r}]: expected {n} entries")
-        for c, v in enumerate(row):
-            M[r, c] = _entry(v, f"{where}.matrix[{r}][{c}]")
-    return M
+        rows.append([_entry(v, f"{where}.matrix[{r}][{c}]") for c, v in enumerate(row)])
+    return np.array(rows, dtype=np.complex128)
 
 
 def _bulk_block(mat, n):
     """The block read in one conversion, or None when some row or entry is
     malformed (then `_walk_block` finds and names it)."""
-    if not all(type(row) is list and len(row) == n for row in mat):
-        return None
-    pairs = list(chain.from_iterable(mat))
-    if not all(type(v) is list and len(v) == 2 for v in pairs):
-        return None
-    # bool is a subclass of int, and is excluded by the exact type test
-    if not set(map(type, chain.from_iterable(pairs))) <= {int, float}:
-        return None
     try:
-        P = np.array(pairs, dtype=np.float64)
-    except OverflowError:
+        P = np.array(mat, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
         return None
-    # each contiguous (re, im) row of P is one complex128
+    # the shape makes every row a list of n pairs, so the two-level chain
+    # reaches every number; np.array converts bools and numeric strings,
+    # which the exact type test refuses (bool is a subclass of int)
+    if (P.shape != (len(mat), n, 2)
+            or not set(map(type, chain.from_iterable(chain.from_iterable(mat))))
+            <= {int, float}):
+        return None
+    # each contiguous (re, im) pair of P is one complex128
     return P.view(np.complex128).reshape(len(mat), n)
-
-
-def _check_entries(mats, n) -> None:
-    """Read each block entry by entry where needed, in document order;
-    raises naming the first malformed or non-finite entry."""
-    for j, mat in enumerate(mats):
-        where = f"blocks[{j}]"
-        M = _bulk_block(mat, n)
-        if M is None:
-            M = _walk_block(mat, n, where)
-        # json.loads reads NaN, Infinity and overflowing literals as
-        # non-finite floats
-        if not np.isfinite(M).all():
-            raise SchemaError(f"{where}: entries must be finite")
 
 
 def _block_matrix(blk, where) -> list:
@@ -99,12 +85,30 @@ def _block_matrix(blk, where) -> list:
     return mat
 
 
+def _read_block(blk, n, where) -> np.ndarray:
+    """One block object read whole, structure then entries, so the first
+    error in the document is the one raised."""
+    mat = _block_matrix(blk, where)
+    M = _bulk_block(mat, n)
+    if M is None:
+        M = _walk_block(mat, n, where)
+    # json.loads reads NaN, Infinity and overflowing literals as non-finite
+    # floats
+    if not np.isfinite(M).all():
+        raise SchemaError(f"{where}: entries must be finite")
+    return M
+
+
 def parse_spec(text: str) -> tuple:
     """Parse a frame-spec document; returns (GFrame, metadata dict)."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (RecursionError, ValueError) as exc:
+        # nesting deeper than the recursion limit, or an integer literal
+        # longer than Python's int-string conversion limit
+        raise ParseError(str(exc)) from exc
     if not isinstance(doc, dict):
         raise SchemaError("top level must be an object")
     unknown = set(doc) - _TOP_FIELDS
@@ -118,22 +122,8 @@ def parse_spec(text: str) -> tuple:
     if not isinstance(doc["blocks"], list) or not doc["blocks"]:
         raise SchemaError("blocks must be a nonempty array")
 
-    mats = []
-    for j, blk in enumerate(doc["blocks"]):
-        try:
-            mats.append(_block_matrix(blk, f"blocks[{j}]"))
-        except SchemaError:
-            # the first error in the document wins: the entries of the
-            # blocks before this one come before its own structure
-            _check_entries(mats, n)
-            raise
-
-    # every block in one conversion; the entry-by-entry read only runs to
-    # name a bad entry
-    T = _bulk_block(list(chain.from_iterable(mats)), n)
-    if T is None or not np.isfinite(T).all():
-        _check_entries(mats, n)
-
+    blocks = tuple(_read_block(blk, n, f"blocks[{j}]")
+                   for j, blk in enumerate(doc["blocks"]))
     metadata = doc.get("metadata", {})
     if not isinstance(metadata, dict):
         raise SchemaError("metadata must be an object")
@@ -143,7 +133,7 @@ def parse_spec(text: str) -> tuple:
     for key in metadata:
         if not isinstance(metadata[key], str):
             raise SchemaError(f"metadata.{key} must be a string")
-    return GFrame(n, _row_blocks(T, [len(mat) for mat in mats])), dict(metadata)
+    return GFrame(n, blocks), dict(metadata)
 
 
 # json.dumps(doc, indent=2, sort_keys=True) lays a block out as below; its
@@ -170,7 +160,8 @@ def _block_text(B: np.ndarray) -> str:
 
 
 def serialize(frame: GFrame, metadata: dict | None = None) -> str:
-    """Write a frame back to its document form; parse(serialize(F)) == F.
+    """Write a frame back to its document form; parse_spec reads its blocks
+    back bit for bit.
 
     The text is json.dumps(doc, indent=2, sort_keys=True) of the document
     plus a newline, byte for byte."""
@@ -187,7 +178,11 @@ def serialize(frame: GFrame, metadata: dict | None = None) -> str:
 
 def load(path) -> tuple:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_spec(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"not UTF-8: {exc}") from exc
+    return parse_spec(text)
 
 
 def save(path, frame: GFrame, metadata: dict | None = None) -> None:

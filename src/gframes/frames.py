@@ -74,18 +74,22 @@ def _tiled(blocks, n: int):
                                            writeable=False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GFrame:
     """Ordered family of complex blocks, all with the same column count.
 
     `matrix` is the stacked analysis operator T; the blocks are read-only
     row views of it.  Blocks that already are consecutive row slices of one
-    C-contiguous complex array (`np.split` of it, say) share its memory;
-    any others are stacked once."""
+    C-contiguous complex array U (`np.split` of it, say) share U's memory;
+    any others are stacked once.  U itself stays writable, and a write to it
+    changes the frame's entries but not a spectrum already cached, so copy
+    U before writing to it.
+
+    Frames compare and hash by identity."""
 
     hilbert_dim: int
     blocks: tuple
-    matrix: np.ndarray = field(init=False, repr=False, compare=False)
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.hilbert_dim
@@ -267,9 +271,11 @@ def _unit_scaled(A: np.ndarray):
     return A * unit, unit
 
 
-def _gram_is_identity(A: np.ndarray, B: np.ndarray, dims, tol_eq: float) -> bool:
-    """Whether every block G_jk of the m x m Gram G = A B† (blocks of
-    heights `dims`) meets ||G_jk - delta_jk I||_F <= tol_eq * max(1, ||G_jk||_F).
+def _gram_rules(A: np.ndarray, B: np.ndarray, dims, tol_eq: float) -> tuple:
+    """(is_identity, near_identity) for the m x m Gram G = A B† (blocks of
+    heights `dims`): whether every block G_jk meets
+    ||G_jk - delta_jk I||_F <= tol_eq * max(1, ||G_jk||_F), and whether
+    ||G - I||_F <= 1/2.
 
     G is formed once from A and B scaled by powers of two, so that it cannot
     overflow, and is compared in those units."""
@@ -286,14 +292,21 @@ def _gram_is_identity(A: np.ndarray, B: np.ndarray, dims, tol_eq: float) -> bool
     ref2 = err2.copy()
     ref2[np.diag_indices(len(starts))] += np.add.reduceat(
         np.abs(g) ** 2 - np.abs(g - unit) ** 2, starts)
-    return bool(np.all(np.sqrt(err2) <= tol_eq * np.maximum(unit, np.sqrt(ref2))))
+    return (bool(np.all(np.sqrt(err2) <= tol_eq * np.maximum(unit, np.sqrt(ref2)))),
+            bool(np.sqrt(err2.sum()) <= 0.5 * unit))
 
 
-def _is_on_basis(T: np.ndarray, dims, tol_eq: float) -> bool:
-    """Orthonormal operator basis test on a stacked analysis matrix, with no
-    decomposition: T is square and T T† = I blockwise (orthonormal set)."""
-    m, n = T.shape
-    return m == n and _gram_is_identity(T, T, dims, tol_eq)
+def _is_on_basis(F: GFrame, tol_eq: float) -> bool:
+    """classify(F, tol_eq).is_on_basis, with no decomposition in the usual
+    case: a square T with ||T T† - I||_F <= 1/2 has every sigma^2 in
+    [1/2, 3/2], so (sigma_min / sigma_max)^2 >= 1/3 and T has full rank,
+    and classify's frame and rank rules hold.  Any other orthonormal set
+    is classified."""
+    T = F.matrix
+    if T.shape[0] != T.shape[1]:
+        return False
+    is_on_set, near_identity = _gram_rules(T, T, F.block_dims, tol_eq)
+    return is_on_set and (near_identity or classify(F, tol_eq).is_on_basis)
 
 
 def classify(F: GFrame, tol_eq: float = TOL_EQ) -> Classification:
@@ -311,7 +324,7 @@ def classify(F: GFrame, tol_eq: float = TOL_EQ) -> Classification:
     rank = F.rank()
     n, m = F.hilbert_dim, F.total_dim
     is_riesz = bounds.is_frame and rank == m
-    is_on_set = m <= n and _gram_is_identity(F.matrix, F.matrix, F.block_dims, tol_eq)
+    is_on_set = m <= n and _gram_rules(F.matrix, F.matrix, F.block_dims, tol_eq)[0]
     return Classification(
         is_bessel=True,  # finite families always admit an upper bound
         is_frame=bounds.is_frame,
@@ -337,7 +350,7 @@ def check_biorthogonal(F: GFrame, G: GFrame) -> bool:
         raise ShapeMismatch("biorthogonality check needs identical block shapes")
     if F.total_dim > F.hilbert_dim:
         return False
-    return _gram_is_identity(G.matrix, F.matrix, F.block_dims, TOL_EQ)
+    return _gram_rules(G.matrix, F.matrix, F.block_dims, TOL_EQ)[0]
 
 
 def induce_vector_frame(F: GFrame) -> list:
@@ -366,7 +379,7 @@ def make_griesz(gon: GFrame, X) -> GFrame:
     """Riesz operator basis theta_j X from an orthonormal operator basis and an
     invertible X, which must pass the frame rule of `_spectral_rules` as
     `classify` reads it.  Bounds land in [||X^{-1}||^{-2}, ||X||^2]."""
-    if not _is_on_basis(gon.matrix, gon.block_dims, TOL_EQ):
+    if not _is_on_basis(gon, TOL_EQ):
         raise NotOnBasis("make_griesz requires an orthonormal operator basis")
     A = as_cmatrix(X)
     if A.shape != (gon.hilbert_dim, gon.hilbert_dim):

@@ -77,7 +77,7 @@ class TestBuildFock:
     def test_gram_rule_agrees_with_classify(self, rng, mercedes):
         for F, expected in on_basis_cases(rng, mercedes):
             assert gf.classify(F).is_on_basis == expected
-            assert frames._is_on_basis(F.matrix, F.block_dims, TOL_EQ) == expected
+            assert frames._is_on_basis(F, TOL_EQ) == expected
             if expected:
                 gf.build_fock(F)
             else:

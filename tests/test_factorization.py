@@ -294,6 +294,23 @@ def test_griesz_basis_rule_agrees_with_classify(rng, mercedes):
                 gf.make_griesz(F, 2.0 * np.eye(F.hilbert_dim))
 
 
+def test_on_basis_rule_is_classify_at_every_tolerance(rng, mercedes):
+    """`_is_on_basis` answers as classify does at loose tolerances too,
+    where the block rule passes on families that are no Riesz basis, and
+    forms no spectrum on a basis near the identity.  Beyond the shared
+    families: a basis scaled by 2 (a Riesz basis far from orthonormal) and
+    two equal rows in C^2 (an orthonormal set at tol 1.5, no frame)."""
+    gon = random_gon(rng, 6, (2, 2, 2))
+    cases = [F for F, _ in on_basis_cases(rng, mercedes)]
+    cases += [gon.map_blocks(lambda B: 2.0 * B),
+              gf.GFrame(2, (np.array([[1.0, 0.0]]),) * 2)]
+    for tol in (1e-10, 1e-6, 0.3, 1.5):
+        for F in cases:
+            assert frames._is_on_basis(F, tol) == gf.classify(F, tol_eq=tol).is_on_basis
+    assert frames._is_on_basis(gon, TOL_EQ)
+    assert "spectrum" not in vars(gon)
+
+
 @pytest.mark.filterwarnings("error")
 class TestScale:
     def test_random_frame_classifies_alike_at_1e100(self):
@@ -312,7 +329,7 @@ class TestScale:
             cls = gf.classify(F)
             assert not cls.is_orthonormal_set and not cls.is_on_basis
             assert not gf.check_biorthogonal(F, F)
-            assert not frames._is_on_basis(F.matrix, F.block_dims, TOL_EQ)
+            assert not frames._is_on_basis(F, TOL_EQ)
         # at scale 1 the same basis passes every test
         assert gf.classify(gon).is_on_basis and gf.check_biorthogonal(gon, gon)
 
@@ -325,8 +342,8 @@ class TestScale:
         T = gon.matrix + 1e-9 * E
         for k in (0, 300, 500):
             c = 2.0 ** k
-            passes = frames._gram_is_identity(c * T, T / c, (2, 2, 2), 1e-9)
-            assert passes == frames._gram_is_identity(T, T, (2, 2, 2), 1e-9)
+            passes = frames._gram_rules(c * T, T / c, (2, 2, 2), 1e-9)[0]
+            assert passes == frames._gram_rules(T, T, (2, 2, 2), 1e-9)[0]
 
     @pytest.mark.parametrize("c", [1e160, 1e-160])
     def test_similarity_at_extreme_scales(self, c):

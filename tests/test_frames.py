@@ -44,6 +44,14 @@ class TestAnalysis:
             np.testing.assert_allclose(stacked[off[j]:off[j + 1]] @ f, B @ f)
 
 
+    def test_frames_compare_and_hash_by_identity(self, rng):
+        F = random_frame(rng, 4, (2, 2, 1))
+        G = gf.GFrame(F.hilbert_dim, F.blocks)
+        assert F == F and not F != F
+        assert F != G and not F == G
+        assert {F, G, F} == {F, G} and len({F, G, F}) == 2
+
+
 class TestFrameOperator:
     def test_parseval_family(self):
         np.testing.assert_allclose(gf.frame_operator(coordinate_slicing()),

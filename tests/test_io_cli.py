@@ -325,6 +325,45 @@ class TestCli:
         assert cli.main(["classify", str(p)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("case", ["not-utf8", "deep", "huge-dim", "long-int",
+                                      "out", "emit"])
+    def test_bad_input_leaves_as_one_json_error(self, case, gon_path, tmp_path,
+                                                capsys):
+        """Bytes that are not UTF-8, JSON nested beyond the recursion limit,
+        a hilbert_dim of 10^400 with short rows, an integer beyond Python's
+        int-string limit, and --out or --emit into a missing directory."""
+        p = tmp_path / "bad.frame"
+        argv, error = ["classify", str(p)], "ParseError"
+        if case == "not-utf8":
+            p.write_bytes(b'{"hilbert_dim": 1, "blocks": \xff}')
+        elif case == "deep":
+            p.write_text("[" * 100_000 + "]" * 100_000)
+        elif case == "huge-dim":
+            p.write_text('{"hilbert_dim": 1' + "0" * 400
+                         + ', "blocks": [{"rows": 1, "matrix": [[[1, 0]]]}]}')
+            error = "SchemaError"
+        elif case == "long-int":
+            p.write_text('{"hilbert_dim": 1' + "0" * 5000 + ', "blocks": []}')
+        else:
+            missing = str(tmp_path / "missing" / "x.json")
+            argv = (["classify", gon_path, "--out", missing] if case == "out"
+                    else ["dual", gon_path, "--emit", missing])
+            error = "io"
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert json.loads(err)["error"] == error
+
+    def test_coherent_rejects_a_loose_orthonormal_set(self, tmp_path, capsys):
+        """Two equal rows in C^2 pass the orthonormal-set rule at --tol 1.5
+        but are no basis, so build_fock refuses them as classify does."""
+        p = tmp_path / "singular.frame"
+        frame_io.save(p, gf.GFrame(2, (np.array([[1.0, 0.0]]),) * 2))
+        assert cli.main(["coherent", str(p), "--tol", "1.5"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "NotOnBasis"
+
     def test_non_frame_input_fails_dual_numerically(self, tmp_path, capsys):
         p = tmp_path / "zero.frame"
         frame_io.save(p, gf.GFrame(2, (np.zeros((2, 2)),)))
