@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from . import __version__, coherent, duality, frame_io, frames, perturbation
-from .errors import GFrameError, ParseError, SchemaError, UsageError
+from . import __version__, frame_io, frames
+from .errors import GFrameError, ParseError, SchemaError, ShapeMismatch, UsageError
 from .linalg import TOL_EQ, TOL_FLOOR, fro, random_units
 
 EXIT_OK = 0
@@ -118,6 +118,8 @@ def run_dual(args, report, frame, name):
 
 
 def run_alt_dual(args, report, frame, name, emit=True):
+    from . import duality
+
     rng = np.random.default_rng(args.seed)
     g0 = random_units(rng, frame.hilbert_dim, 1)[:, 0]
     alt = duality.construct_alternate_dual(frame, g0, seed=args.seed)
@@ -143,6 +145,8 @@ def run_alt_dual(args, report, frame, name, emit=True):
 
 
 def run_perturb(args, report, frame, other, name):
+    from . import perturbation
+
     rep = perturbation.optimal_M(frame, other)
     report.set("perturbation", dataclasses.asdict(rep))
     rng = np.random.default_rng(args.seed)
@@ -157,6 +161,8 @@ def run_perturb(args, report, frame, other, name):
 
 
 def run_coherent(args, report, frame, name):
+    from . import coherent
+
     fs = coherent.build_fock(frame, tol_eq=max(args.tol, TOL_FLOOR))
     report.set("fock", {"K": fs.K, "L": fs.L})
     z, w = args.z, args.w
@@ -293,10 +299,11 @@ def main(argv=None) -> int:
                     run_alt_dual(args, report, frame, name, emit=False)
         doc = report.finish()
         emit(doc, args)
-    # the input-error classes subclass GFrameError, so they come first
+    # the input-error classes subclass GFrameError, so they come first; a
+    # ShapeMismatch here can only come from perturb's two incompatible specs
     except OSError as exc:
         return _fail(EXIT_INPUT_ERROR, "io", str(exc))
-    except (ParseError, SchemaError, UsageError) as exc:
+    except (ParseError, SchemaError, ShapeMismatch, UsageError) as exc:
         return _fail(EXIT_INPUT_ERROR, type(exc).__name__, str(exc))
     except (GFrameError, np.linalg.LinAlgError) as exc:
         return _fail(EXIT_NUMERICAL, type(exc).__name__, str(exc))

@@ -3,7 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from gframes import GFrame, classify, make_gon_basis, make_griesz
+from gframes import GFrame, classify, frame_operator, make_gon_basis, make_griesz
+from gframes.coherent import coefficient_vector
 from gframes.linalg import TOL_EQ, random_unitary
 
 DECOMPOSITIONS = ("eigh", "eigvalsh", "svd", "qr", "lstsq")
@@ -35,6 +36,33 @@ def random_riesz(rng, n, dims, cond_max=10.0):
     s = s / s.min()
     X = (U * s) @ V.conj().T
     return make_griesz(random_gon(rng, n, dims), X), X
+
+
+def lowered(columns, K, L, axis):
+    """Oracle for a lowering map on a column family, from the indices alone:
+    column l*K + k goes to sqrt(k) times column l*K + k-1 (axis "a"), or to
+    sqrt(l) times column (l-1)*K + k (axis "b"); the bottom level goes to 0."""
+    out = np.zeros_like(columns)
+    for l in range(L):
+        for k in range(K):
+            if axis == "a" and k > 0:
+                out[:, l * K + k] = np.sqrt(k) * columns[:, l * K + k - 1]
+            if axis == "b" and l > 0:
+                out[:, l * K + k] = np.sqrt(l) * columns[:, (l - 1) * K + k]
+    return out
+
+
+def dual_family(riesz, fam, z, w):
+    """The dual side of a bi-coherent family from its definition, not from
+    the family's own dual fields: the columns V = S^-1 U of the Riesz
+    columns U, the state V c, and the lowering operators V ã V^-1, where
+    V^-1 = U† by biorthogonality."""
+    K, L = fam.fock.K, fam.fock.L
+    U = fam.u_columns
+    V = np.linalg.solve(frame_operator(riesz), U)
+    a = lowered(V, K, L, "a") @ U.conj().T
+    b = lowered(V, K, L, "b") @ U.conj().T
+    return V, V @ coefficient_vector(z, w, K, L), a, b
 
 
 def count_decompositions(monkeypatch) -> list:

@@ -19,7 +19,7 @@ from gframes import cli, coherent, duality, frame_io, perturbation
 from gframes.frames import analysis
 from gframes.linalg import fro, random_unitary
 
-from conftest import random_frame, random_riesz
+from conftest import dual_family, lowered, random_frame, random_riesz
 
 
 @pytest.fixture
@@ -290,20 +290,6 @@ def test_criterion_10_uncertainty_saturation(report):
     assert vac <= 1e-12
 
 
-def lowered(columns, K, L, axis):
-    """Oracle for a lowering map on a column family, from the indices alone:
-    column l*K + k goes to sqrt(k) times column l*K + k-1 (axis "a"), or to
-    sqrt(l) times column (l-1)*K + k (axis "b"); the bottom level goes to 0."""
-    out = np.zeros_like(columns)
-    for l in range(L):
-        for k in range(K):
-            if axis == "a" and k > 0:
-                out[:, l * K + k] = np.sqrt(k) * columns[:, l * K + k - 1]
-            if axis == "b" and l > 0:
-                out[:, l * K + k] = np.sqrt(l) * columns[:, (l - 1) * K + k]
-    return out
-
-
 def rel(A, B):
     return fro(A - B) / fro(B)
 
@@ -326,20 +312,24 @@ def test_criterion_11_bicoherent_collapse(report):
     for _ in range(10):
         riesz, _ = random_riesz(rng, 16, (4, 4, 4, 4))
         fam = gf.bicoherent_family(riesz, 0.05, 0.05)
+        # the family returns its dual fields as the "up" arrays themselves,
+        # so the dual side is derived from its definition, S^-1 X† t
+        v_cols, phi_dual, a_dual, b_dual = dual_family(riesz, fam, 0.05, 0.05)
         worst_collapse = max(worst_collapse,
-                             float(np.linalg.norm(fam.phi_up - fam.phi_dual)))
+                             float(np.linalg.norm(fam.phi_up - phi_dual)),
+                             rel(v_cols, fam.p_columns))
         worst_pairing = max(worst_pairing,
                             abs(np.vdot(fam.phi, fam.phi_up) - 1.0))
         K, L = fam.fock.K, fam.fock.L
-        Q = coherent.pair_quadrature(fam.u_columns, fam.v_columns, K, L,
+        Q = coherent.pair_quadrature(fam.u_columns, v_cols, K, L,
                                      max(K, L), max(2 * K - 1, 2 * L - 1))
         worst_quad = max(worst_quad, fro(Q - np.eye(16)))
         # (i) operator form of phi_dual == phi_up
-        worst_dual_up = max(worst_dual_up, rel(fam.a_dual, fam.a_up),
-                            rel(fam.b_dual, fam.b_up))
+        worst_dual_up = max(worst_dual_up, rel(a_dual, fam.a_up),
+                            rel(b_dual, fam.b_up))
         # (ii) each operator lowers its own column family
         for a_op, b_op, cols in ((fam.a_riesz, fam.b_riesz, fam.u_columns),
-                                 (fam.a_dual, fam.b_dual, fam.v_columns),
+                                 (a_dual, b_dual, v_cols),
                                  (fam.a_up, fam.b_up, fam.p_columns)):
             worst_shift = max(worst_shift,
                               rel(a_op @ cols, lowered(cols, K, L, "a")),

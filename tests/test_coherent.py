@@ -13,7 +13,7 @@ from gframes.errors import (
 )
 from gframes.linalg import TOL_EQ, fro, random_unitary
 
-from conftest import on_basis_cases, random_gon, random_riesz
+from conftest import dual_family, on_basis_cases, random_gon, random_riesz
 
 
 def series_oracle(fs, z, w):
@@ -357,8 +357,9 @@ class TestBicoherent:
     def test_dual_and_up_columns_coincide(self, rng):
         riesz, _ = random_riesz(rng, 6, (2, 2, 2))
         fam = gf.bicoherent_family(riesz, 0.2, 0.1, defect_max=1.0)
-        assert fro(fam.v_columns - fam.p_columns) <= 1e-10
-        assert np.linalg.norm(fam.phi_up - fam.phi_dual) <= 1e-9
+        v_cols, phi_dual, _, _ = dual_family(riesz, fam, 0.2, 0.1)
+        assert fro(v_cols - fam.p_columns) <= 1e-10
+        assert np.linalg.norm(fam.phi_up - phi_dual) <= 1e-9
 
     def test_pairing_is_unity(self, rng):
         riesz, _ = random_riesz(rng, 20, (10, 10))
@@ -368,11 +369,14 @@ class TestBicoherent:
     def test_dual_ladder_equals_up_ladder(self, rng):
         riesz, _ = random_riesz(rng, 6, (2, 2, 2))
         fam = gf.bicoherent_family(riesz, 0.2, 0.1, defect_max=1.0)
-        assert fro(fam.a_dual - fam.a_up) <= 1e-9 * max(1.0, fro(fam.a_up))
+        _, _, a_dual, b_dual = dual_family(riesz, fam, 0.2, 0.1)
+        assert fro(a_dual - fam.a_up) <= 1e-9 * max(1.0, fro(fam.a_up))
+        assert fro(b_dual - fam.b_up) <= 1e-9 * max(1.0, fro(fam.b_up))
 
     def test_lowering_actions(self, rng):
         riesz, _ = random_riesz(rng, 9, (3, 3, 3))
         fam = gf.bicoherent_family(riesz, 0.1, 0.1, defect_max=1.0)
+        v_cols, _, a_dual, _ = dual_family(riesz, fam, 0.1, 0.1)
         K = fam.fock.K
         for l in range(fam.fock.L):
             for k in range(1, K):
@@ -381,8 +385,7 @@ class TestBicoherent:
                     fam.a_riesz @ fam.u_columns[:, i],
                     np.sqrt(k) * fam.u_columns[:, j], atol=1e-9)
                 np.testing.assert_allclose(
-                    fam.a_dual @ fam.v_columns[:, i],
-                    np.sqrt(k) * fam.v_columns[:, j], atol=1e-9)
+                    a_dual @ v_cols[:, i], np.sqrt(k) * v_cols[:, j], atol=1e-9)
 
     def test_eigen_relations(self, rng):
         riesz, _ = random_riesz(rng, 8, (4, 4), cond_max=4.0)

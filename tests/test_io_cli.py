@@ -15,8 +15,81 @@ from gframes.errors import ParseError, SchemaError
 from conftest import count_inverse_roots, random_frame
 
 
+# the modules every `gframe` subcommand loads, and those each one adds
+CLI_BASE_MODULES = {"gframes.cli", "gframes.errors", "gframes.frame_io",
+                    "gframes.frames", "gframes.linalg"}
+CLI_LAYER_MODULES = {
+    "classify": set(),
+    "dual": set(),
+    "alt-dual": {"gframes.duality"},
+    "all": {"gframes.duality"},
+    "perturb": {"gframes.perturbation"},
+    "coherent": {"gframes.coherent", "numpy.polynomial"},
+}
+
+# the package's exported names, as `gframes` bound them when it imported
+# every layer eagerly
+EXPORTED = sorted("""
+    Classification FrameBounds GFrame analysis canonical_dual
+    check_biorthogonal check_dual_pair classify frame_bounds frame_operator
+    induce_vector_frame make_gon_basis make_griesz parseval_transform
+    BicoherentFamily CoherentState FockStructure LadderPair bicoherent_family
+    build_fock coherent_state ladder_ops quadrature_identity truncation_defect
+    uncertainty_product
+    check_similar construct_alternate_dual dual_norm_decomposition
+    gram_characterization
+    GavrutaReport PerturbationReport gavruta_check one_sided_M optimal_M
+""".split())
+
+
 def doc_for(frame, metadata=None):
     return frame_io.serialize(frame, metadata)
+
+
+def fresh_python(code, *args):
+    """Run `code` in a fresh interpreter that imports this gframes; return
+    its stdout, failing the test on a non-zero exit."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gf.__file__)))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+class TestPackageSurface:
+    def test_all_lists_the_exported_names(self):
+        assert sorted(gf.__all__) == EXPORTED
+
+    @pytest.mark.parametrize("name", EXPORTED)
+    def test_name_is_its_modules_object(self, name):
+        obj = getattr(gf, name)
+        home = sys.modules[obj.__module__]
+        assert home.__name__.startswith("gframes.")
+        assert getattr(home, name) is obj
+        # resolved through the module, never copied into the package
+        assert name not in vars(gf)
+
+    def test_star_import_and_dir(self):
+        ns = {}
+        exec("from gframes import *", ns)
+        assert all(ns[name] is getattr(gf, name) for name in EXPORTED)
+        assert set(EXPORTED) <= set(dir(gf))
+
+    def test_unknown_name_raises_attribute_error(self):
+        with pytest.raises(AttributeError, match="nope"):
+            gf.nope
+
+    def test_bare_import_loads_no_layer(self):
+        fresh_python(
+            "import sys\n"
+            "import gframes\n"
+            "assert not [m for m in sys.modules if m.startswith('gframes.')]\n"
+            "assert gframes.coherent.build_fock is gframes.build_fock\n"
+            "for m in ('frames', 'coherent', 'duality', 'perturbation',\n"
+            "          'linalg', 'errors'):\n"
+            "    assert getattr(gframes, m) is sys.modules['gframes.' + m]\n")
 
 
 class TestParseSpec:
@@ -306,14 +379,44 @@ class TestCli:
             assert e[i] == pytest.approx(ref, rel=1e-13)
 
     def test_import_leaves_scipy_out(self):
-        src = os.path.dirname(os.path.dirname(os.path.abspath(gf.__file__)))
-        path = filter(None, [src, os.environ.get("PYTHONPATH")])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import gframes.cli, sys; assert 'scipy' not in sys.modules"],
-            env=env, capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
+        fresh_python("import gframes.cli, sys; assert 'scipy' not in sys.modules")
+
+    @pytest.mark.parametrize("command", sorted(CLI_LAYER_MODULES))
+    def test_subcommand_loads_only_its_modules(self, command, mercedes_path,
+                                                gon_path):
+        """Each subcommand, run in a fresh interpreter, imports the CLI's
+        base modules plus the layer it calls, and never scipy.  The Mercedes
+        frame is redundant, so `all` runs its alternate-dual suite."""
+        argv = {"perturb": [mercedes_path, mercedes_path],
+                "coherent": [gon_path]}.get(command, [mercedes_path])
+        out = fresh_python(
+            "import contextlib, io, json, sys\n"
+            "from gframes import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = cli.main(sys.argv[1:])\n"
+            "print(json.dumps([code] + sorted(\n"
+            "    m for m in sys.modules if m.startswith('gframes.')\n"
+            "    or m in ('numpy.polynomial', 'scipy'))))",
+            command, *argv)
+        code, *loaded = json.loads(out)
+        assert code == 0
+        assert set(loaded) == CLI_BASE_MODULES | CLI_LAYER_MODULES[command]
+
+    @pytest.mark.parametrize("other", ["two-row-block", "c4"])
+    def test_perturb_shape_mismatch_is_input_error(self, other, mercedes_path,
+                                                   gon_path, tmp_path, capsys):
+        """perturb on two specs of different block dimensions, or of
+        different Hilbert dimensions, is an input error: nothing numerical
+        ran."""
+        if other == "c4":
+            path = gon_path
+        else:
+            path = str(tmp_path / "two-row.frame")
+            frame_io.save(path, gf.GFrame(2, (np.eye(2), np.ones((1, 2)))))
+        code = cli.main(["perturb", mercedes_path, path])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "ShapeMismatch"
 
     def test_missing_file_is_input_error(self, capsys):
         assert cli.main(["classify", "/nonexistent.frame"]) == 2
