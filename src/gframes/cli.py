@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, frame_io, frames
 from .errors import GFrameError, ParseError, SchemaError, ShapeMismatch, UsageError
-from .linalg import TOL_EQ, TOL_FLOOR, fro, random_units
+from .linalg import TOL_EQ, TOL_FLOOR, fro, random_units, sample_units
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -82,9 +82,15 @@ def _energies(T, F):
     return np.sum(np.abs(T @ F) ** 2, axis=0)
 
 
-def _worst(excess):
-    """Largest violation of a sampled inequality, 0 when none is violated."""
-    return max(0.0, float(np.max(excess)))
+def _worst(rng, n, samples, excess):
+    """Largest violation of a sampled inequality over `samples` random unit
+    vectors of C^n, 0 when none is violated.  `excess(F)` gives the
+    violations at the columns of one block F of sample_units, so the memory
+    is one block's whatever the sample count."""
+    worst = 0.0
+    for F in sample_units(rng, n, samples):
+        worst = max(worst, float(np.max(excess(F))))
+    return worst
 
 
 def run_classify(args, report, frame, name):
@@ -92,10 +98,14 @@ def run_classify(args, report, frame, name):
     bounds = frames.frame_bounds(frame, tol_eq=args.tol)
     report.set("classification", dataclasses.asdict(cls))
     report.set("bounds", dataclasses.asdict(bounds))
-    rng = np.random.default_rng(args.seed)
-    F = random_units(rng, frame.hilbert_dim, args.samples)
-    e = _energies(frames.analysis(frame), F)
-    worst = _worst(np.maximum(bounds.lower - e, e - bounds.upper))
+    T = frames.analysis(frame)
+
+    def excess(F):
+        e = _energies(T, F)
+        return np.maximum(bounds.lower - e, e - bounds.upper)
+
+    worst = _worst(np.random.default_rng(args.seed), frame.hilbert_dim,
+                   args.samples, excess)
     report.add_check("frame_inequality_sampling", worst <= 1e-9, worst, 1e-9)
     return cls
 
@@ -129,10 +139,9 @@ def run_alt_dual(args, report, frame, name, emit=True):
     report.add_check("alternate_dual_reconstruction", ok, 0.0 if ok else 1.0, tol)
     diff = max(fro(A - C) for A, C in zip(alt.blocks, can.blocks))
     report.add_check("differs_from_canonical", diff > 1e-6, diff, 1e-6)
-    F = random_units(rng, frame.hilbert_dim, args.samples)
-    ncan = _energies(frames.analysis(can), F)
-    nalt = _energies(frames.analysis(alt), F)
-    worst = _worst(ncan - nalt)
+    Tcan, Talt = frames.analysis(can), frames.analysis(alt)
+    worst = _worst(rng, frame.hilbert_dim, args.samples,
+                   lambda F: _energies(Tcan, F) - _energies(Talt, F))
     report.add_check("canonical_minimality", worst <= 1e-10, worst, 1e-10)
     report.add_check(
         "gram_distinguishes_canonical",
@@ -149,12 +158,16 @@ def run_perturb(args, report, frame, other, name):
 
     rep = perturbation.optimal_M(frame, other)
     report.set("perturbation", dataclasses.asdict(rep))
-    rng = np.random.default_rng(args.seed)
-    F = random_units(rng, frame.hilbert_dim, args.samples)
     TF = frames.analysis(frame)
     TG = frames.analysis(other)
-    den = np.minimum(_energies(TF, F), _energies(TG, F))
-    worst = _worst(_energies(TF - TG, F) - rep.m_opt * den)
+    D = TF - TG
+
+    def excess(F):
+        den = np.minimum(_energies(TF, F), _energies(TG, F))
+        return _energies(D, F) - rep.m_opt * den
+
+    worst = _worst(np.random.default_rng(args.seed), frame.hilbert_dim,
+                   args.samples, excess)
     report.add_check("m_opt_dominates_sampling", worst <= 1e-8, worst, 1e-8)
     slack = rep.guaranteed_lower - rep.actual_lower
     report.add_check("guaranteed_lower_bound", slack <= 1e-9, slack, 1e-9)

@@ -224,10 +224,10 @@ def _radial_angular_gram(m: int, radial_nodes: int, angular_nodes: int) -> np.nd
 
 
 def coefficient_quadrature(K: int, L: int, radial_nodes: int,
-                           angular_nodes: int) -> np.ndarray:
-    """Coefficient-space Gram of the double phase-space integral, the tensor
-    product of the per-label quadratures.  Node counts below the exactness
-    threshold raise rather than silently alias."""
+                           angular_nodes: int) -> tuple:
+    """Per-label Grams (Gz, Gw) of the double phase-space integral, whose
+    tensor product Gw ⊗ Gz is its coefficient-space Gram.  Node counts below
+    the exactness threshold raise rather than silently alias."""
     need_ang = max(2 * K - 1, 2 * L - 1)
     need_rad = max(K, L)
     if angular_nodes < need_ang or radial_nodes < need_rad:
@@ -237,7 +237,7 @@ def coefficient_quadrature(K: int, L: int, radial_nodes: int,
         )
     Gz = _radial_angular_gram(K, radial_nodes, angular_nodes)
     Gw = Gz if L == K else _radial_angular_gram(L, radial_nodes, angular_nodes)
-    return np.kron(Gw, Gz)
+    return Gz, Gw
 
 
 def pair_quadrature(left_columns: np.ndarray, right_columns: np.ndarray,
@@ -245,9 +245,18 @@ def pair_quadrature(left_columns: np.ndarray, right_columns: np.ndarray,
                     angular_nodes: int) -> np.ndarray:
     """Phase-space integral of |left(z,w)><right(z,w)| for the unnormalized
     series over the two column families, with the Gaussian weight folded
-    into the measure."""
-    G = coefficient_quadrature(K, L, radial_nodes, angular_nodes)
-    return left_columns @ G @ right_columns.conj().T
+    into the measure.
+
+    The Gram Gw ⊗ Gz is applied one factor at a time on the coefficient
+    index l*K + k, never formed: Gz over k, then Gw over l, in O(n^2 (K+L))
+    work, on the transpose so that each product runs on rows of the
+    columns' memory."""
+    Gz, Gw = coefficient_quadrature(K, L, radial_nodes, angular_nodes)
+    n = left_columns.shape[0]
+    # rows l*K + k of M = (left (Gw ⊗ Gz))^T
+    M = Gz.T @ left_columns.T.reshape(L, K, n)
+    M = Gw.T @ M.reshape(L, K * n)
+    return M.reshape(K * L, n).T @ right_columns.conj().T
 
 
 def quadrature_identity(fs: FockStructure, radial_nodes: int,
@@ -264,7 +273,8 @@ def uncertainty_product(fs: FockStructure, z: complex, w: complex,
     observables of the lowering pair, evaluated on the truncated state.
     Both converge to 1/2 as the defect vanishes."""
     state = coherent_state(fs, z, w, defect_max=defect_max)
-    c = fs.basis_columns.conj().T @ state.vector
+    # C† v as the conjugate of v† C, which copies no n x n array
+    c = (state.vector.conj() @ fs.basis_columns).conj()
     index = np.arange(fs.K * fs.L)
     power = np.abs(c) ** 2
 
@@ -313,10 +323,12 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
     fs = build_fock(gon, tol_eq=TOL_FLOOR)
     defect = _checked_defect(z, w, fs.K, fs.L, defect_max)
 
-    V = Vh.conj().T
     U_cols = T.conj().T
-    P_cols = (V / s) @ W.conj().T
-    X = (V * s) @ Vh
+    P_cols = (Vh.conj().T / s) @ W.conj().T
+    # no product below needs the factors: the ladder products set the peak,
+    # with the family's own arrays and one shifted operand
+    del W, Vh
+    X = U_cols @ polar   # T† W V† = V Σ V†
     K, L = fs.K, fs.L
     # X a X^{-1} = U ã P† and X^{-1} a X = P ã U†, since X is Hermitian
     P_adj = P_cols.conj().T

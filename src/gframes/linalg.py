@@ -90,6 +90,18 @@ def random_units(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return (f / np.linalg.norm(f, axis=1, keepdims=True)).T
 
 
+# columns per block of sample_units: the memory of a sampling check is one
+# block's, whatever the sample count
+SAMPLE_CHUNK = 4096
+
+
+def sample_units(rng: np.random.Generator, n: int, count: int):
+    """The `count` unit vectors of random_units(rng, n, count), from the same
+    draws of the stream, yielded as blocks of at most SAMPLE_CHUNK columns."""
+    for start in range(0, count, SAMPLE_CHUNK):
+        yield random_units(rng, n, min(SAMPLE_CHUNK, count - start))
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary from the QR of a complex Ginibre matrix."""
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

@@ -119,20 +119,12 @@ def one_sided_M(F: GFrame, G: GFrame):
     return m3, bF.lower / (2.0 * m3 + 2.0)
 
 
-_SAMPLE_CHUNK = 4096
-
-
 def _sampled_premise(V: np.ndarray, n: float, samples: int, seed: int):
     """Largest sampled ||f - Vf|| - n ||Vf|| over random unit f, floored at
-    0, with its first maximizer (None when nothing exceeds 0).
-
-    The samples are drawn and evaluated in chunks, each with one product;
-    chunked draws consume the stream of one draw of all samples, and the
-    chunks bound the memory."""
-    rng = np.random.default_rng(seed)
+    0, with its first maximizer (None when nothing exceeds 0).  Each block
+    of samples is evaluated with one product."""
     best, witness = 0.0, None
-    for start in range(0, samples, _SAMPLE_CHUNK):
-        F = linalg.random_units(rng, V.shape[0], min(_SAMPLE_CHUNK, samples - start))
+    for F in linalg.sample_units(np.random.default_rng(seed), V.shape[0], samples):
         VF = V @ F
         r = np.linalg.norm(F - VF, axis=0) - n * np.linalg.norm(VF, axis=0)
         i = int(np.argmax(r))
@@ -151,9 +143,10 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
     measured constant up to TOL_FLOOR above m is taken as round-off."""
     if not F.same_shape(G):
         raise ShapeMismatch("gavruta_check needs identical block shapes")
-    if m >= 1.0:
+    # written to reject NaN, which fails every comparison
+    if not m < 1.0:
         raise ValueError("premise requires m < 1")
-    if n <= -1.0:
+    if not n > -1.0:
         raise ValueError("premise requires n > -1")
     if samples < 1:
         # an empty sample would report the premise as holding untested

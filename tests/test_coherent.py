@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import factorial, gammainc, gammaincc, roots_laguerre
@@ -297,6 +299,19 @@ class TestQuadratureIdentity:
             Q = gf.quadrature_identity(fs, max(K, L), max(2 * K - 1, 2 * L - 1))
             assert fro(Q - np.eye(K * L)) <= 1e-10
 
+    @pytest.mark.parametrize("K, L", [(3, 5), (5, 2)])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_factorwise_gram_is_the_kronecker_form(self, rng, K, L, order):
+        # Gw ⊗ Gz applied one factor at a time, on either memory layout of
+        # the columns, against the Gram formed whole
+        n = K * L
+        left = np.asarray(random_unitary(n, rng), order=order)
+        right = np.asarray(random_unitary(n, rng), order=order)
+        Gz, Gw = coherent.coefficient_quadrature(K, L, max(K, L), 2 * max(K, L) - 1)
+        Q = coherent.pair_quadrature(left, right, K, L, max(K, L), 2 * max(K, L) - 1)
+        ref = left @ np.kron(Gw, Gz) @ right.conj().T
+        assert np.max(np.abs(Q - ref)) <= 1e-14
+
 
 class TestUncertainty:
     def test_vacuum_exact(self, rng):
@@ -497,3 +512,42 @@ class TestBicoherent:
         riesz, _ = random_riesz(rng, 5, (2, 3))
         with pytest.raises(NonUniformBlocks):
             gf.bicoherent_family(riesz, 0.0, 0.0)
+
+
+def traced_peak(call):
+    """Peak bytes traced while call() runs, counting its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+class TestWorkingSet:
+    """Each coherent routine holds no n x n array beyond its outputs and one
+    operand, measured at K = L = 20 (n = 400) in units of one n x n
+    complex array, with the inputs built before tracing starts."""
+
+    K = L = 20
+    N = K * L
+    UNIT = N * N * np.dtype(np.complex128).itemsize
+
+    def test_bicoherent_family(self, rng):
+        riesz, _ = random_riesz(rng, self.N, (self.K,) * self.L, cond_max=3.0)
+        peak, _ = traced_peak(lambda: gf.bicoherent_family(riesz, 0.3, 0.2))
+        # the nine arrays it returns and one shifted operand of a ladder product
+        assert peak <= 10.1 * self.UNIT
+
+    def test_quadrature_identity(self, rng):
+        fs = gf.build_fock(random_gon(rng, self.N, (self.K,) * self.L))
+        peak, Q = traced_peak(lambda: gf.quadrature_identity(fs, self.K, 2 * self.K - 1))
+        # the columns with the Gram applied, the adjoint columns and the result
+        assert peak <= 3.1 * self.UNIT
+        assert fro(Q - np.eye(self.N)) <= 1e-10
+
+    def test_uncertainty_product(self, rng):
+        fs = gf.build_fock(random_gon(rng, self.N, (self.K,) * self.L))
+        peak, _ = traced_peak(lambda: gf.uncertainty_product(fs, 0.3, 0.2))
+        # only vectors: C† v is formed without copying C†
+        assert peak < 0.1 * self.UNIT

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -369,6 +370,50 @@ class TestCli:
             np.testing.assert_allclose(batch[:, i], f / np.linalg.norm(f),
                                        rtol=0, atol=1e-15)
         assert rng.standard_normal() == ref.standard_normal()
+
+    def test_sample_blocks_are_one_draw(self):
+        n, count = 3, 2 * linalg.SAMPLE_CHUNK + 7
+        rng = np.random.default_rng(4)
+        blocks = list(linalg.sample_units(rng, n, count))
+        assert [B.shape[1] for B in blocks] == [linalg.SAMPLE_CHUNK] * 2 + [7]
+        ref = np.random.default_rng(4)
+        np.testing.assert_array_equal(np.hstack(blocks),
+                                      linalg.random_units(ref, n, count))
+        assert rng.standard_normal() == ref.standard_normal()
+
+    @pytest.mark.parametrize("command", ["classify", "alt-dual", "perturb"])
+    def test_sampling_checks_run_in_blocks(self, command, tmp_path, capsys,
+                                           monkeypatch):
+        """2 blocks + 7 samples give the report of one unchunked draw, and
+        the traced peak is that of a single block's samples."""
+        rng = np.random.default_rng(11)
+        n = 16
+        T = np.vstack([linalg.random_unitary(n, rng),
+                       2.0 * linalg.random_unitary(n, rng)])
+        paths = []
+        for name, scale in (("f", 1.0), ("g", 1.01)):
+            paths.append(str(tmp_path / f"{name}.frame"))
+            frame_io.save(paths[-1], gf.GFrame(n, tuple(np.split(scale * T, 8))))
+        files = paths if command == "perturb" else paths[:1]
+
+        def run(samples):
+            tracemalloc.start()
+            try:
+                code = cli.main([command, *files, "--samples", str(samples)])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            out = capsys.readouterr().out
+            assert code == 0, out
+            return out, peak
+
+        count = 2 * linalg.SAMPLE_CHUNK + 7
+        _, one_block = run(linalg.SAMPLE_CHUNK)
+        chunked, peak = run(count)
+        assert peak <= 1.1 * one_block
+        monkeypatch.setattr(linalg, "SAMPLE_CHUNK", count)
+        unchunked, _ = run(count)
+        assert chunked == unchunked
 
     def test_batched_energies_match_blockwise(self, rng):
         F = random_frame(rng, 4, (2, 1, 3))

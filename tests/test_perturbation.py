@@ -210,3 +210,8 @@ class TestGavruta:
             gf.gavruta_check(mercedes, mercedes, m=1.0, n=0.0)
         with pytest.raises(ValueError):
             gf.gavruta_check(mercedes, mercedes, m=0.0, n=-1.0)
+        # NaN fails every comparison, so it must not pass the premise checks
+        with pytest.raises(ValueError):
+            gf.gavruta_check(mercedes, mercedes, m=np.nan, n=0.0)
+        with pytest.raises(ValueError):
+            gf.gavruta_check(mercedes, mercedes, m=0.0, n=np.nan)
