@@ -9,7 +9,9 @@ Schema (strict, unknown fields rejected):
     }
 
 Complex entries are two-element [re, im] arrays so the format is locale-proof
-and round-trips binary64 exactly through shortest-repr decimals.
+and round-trips binary64 exactly through shortest-repr decimals.  The writers
+emit compact JSON with sorted keys; the reader takes any whitespace between
+tokens.
 """
 from __future__ import annotations
 
@@ -99,6 +101,20 @@ def _read_block(blk, n, where) -> np.ndarray:
     return M
 
 
+def _metadata(metadata) -> dict:
+    """A copy of a spec's metadata object, once it checks out; the reader and
+    the writers share these rules, so a written spec always reads back."""
+    if not isinstance(metadata, dict):
+        raise SchemaError("metadata must be an object")
+    unknown = set(metadata) - _META_FIELDS
+    if unknown:
+        raise SchemaError(f"metadata: unknown field(s): {sorted(unknown)}")
+    for key in metadata:
+        if not isinstance(metadata[key], str):
+            raise SchemaError(f"metadata.{key} must be a string")
+    return dict(metadata)
+
+
 def parse_spec(text: str) -> tuple:
     """Parse a frame-spec document; returns (GFrame, metadata dict)."""
     try:
@@ -124,29 +140,14 @@ def parse_spec(text: str) -> tuple:
 
     blocks = tuple(_read_block(blk, n, f"blocks[{j}]")
                    for j, blk in enumerate(doc["blocks"]))
-    metadata = doc.get("metadata", {})
-    if not isinstance(metadata, dict):
-        raise SchemaError("metadata must be an object")
-    unknown = set(metadata) - _META_FIELDS
-    if unknown:
-        raise SchemaError(f"metadata: unknown field(s): {sorted(unknown)}")
-    for key in metadata:
-        if not isinstance(metadata[key], str):
-            raise SchemaError(f"metadata.{key} must be a string")
-    return GFrame(n, blocks), dict(metadata)
+    return GFrame(n, blocks), _metadata(doc.get("metadata", {}))
 
 
-# json.dumps(doc, indent=2, sort_keys=True) lays a block out as below; its
-# matrix text is written directly, with the float.__repr__ json uses for
-# finite floats, because the pure-Python encoder that indent selects costs
-# about a microsecond per number
-_BLOCK_HEAD = '    {\n      "matrix": [\n        [\n          [\n            '
-_IN_PAIR = ",\n" + " " * 12
-_NEXT_PAIR = "\n" + " " * 10 + "],\n" + " " * 10 + "[\n" + " " * 12
-_NEXT_ROW = ("\n" + " " * 10 + "]\n" + " " * 8 + "],\n" + " " * 8 + "[\n"
-             + " " * 10 + "[\n" + " " * 12)
-_BLOCK_TAIL = ("\n" + " " * 10 + "]\n" + " " * 8 + "]\n" + " " * 6 + "],\n"
-               + " " * 6 + '"rows": {}\n    }}')
+# json.dumps(doc, separators=(",", ":"), sort_keys=True) lays a block out as
+# {"matrix":[[[re,im],[re,im]],[[re,im],[re,im]]],"rows":d}; its matrix text
+# is written directly, with the float.__repr__ json uses for finite floats,
+# so that no more than one block's numbers are Python objects at a time
+_IN_PAIR, _NEXT_PAIR, _NEXT_ROW = ",", "],[", "]],[["
 
 
 def _block_text(B: np.ndarray) -> str:
@@ -155,25 +156,32 @@ def _block_text(B: np.ndarray) -> str:
     row_seps = [_IN_PAIR, _NEXT_PAIR] * n
     row_seps[-1] = _NEXT_ROW
     seps = row_seps * d
-    seps[-1] = _BLOCK_TAIL.format(d)
-    return _BLOCK_HEAD + "".join(chain.from_iterable(zip(numbers, seps)))
+    seps[-1] = f']]],"rows":{d}}}'
+    return '{"matrix":[[[' + "".join(chain.from_iterable(zip(numbers, seps)))
+
+
+def _pieces(frame: GFrame, metadata: dict | None):
+    """The document's text as an iterator of pieces: each block's text, the
+    separators around them and the keys after the blocks.  The metadata is
+    checked here, before the first piece is asked for."""
+    rest = {"hilbert_dim": frame.hilbert_dim}
+    if metadata:
+        rest["metadata"] = _metadata(metadata)
+    # "blocks" sorts first; the keys after it close the document
+    tail = json.dumps(rest, separators=(",", ":"), sort_keys=True)
+    heads = chain(['{"blocks":['], repeat(","))
+    blocks = chain.from_iterable(zip(heads, map(_block_text, frame.blocks)))
+    return chain(blocks, ["]," + tail[1:] + "\n"])
 
 
 def serialize(frame: GFrame, metadata: dict | None = None) -> str:
     """Write a frame back to its document form; parse_spec reads its blocks
     back bit for bit.
 
-    The text is json.dumps(doc, indent=2, sort_keys=True) of the document
-    plus a newline, byte for byte."""
-    rest = {"hilbert_dim": frame.hilbert_dim}
-    if metadata:
-        rest["metadata"] = dict(metadata)
-    # "blocks" sorts first; the skeleton supplies the keys after it
-    tail = json.dumps(rest, indent=2, sort_keys=True)
-    # one join, so the block texts and the document are the only copies held
-    heads = chain(['{\n  "blocks": [\n'], repeat(",\n"))
-    pieces = chain.from_iterable(zip(heads, map(_block_text, frame.blocks)))
-    return "".join(chain(pieces, ["\n  ],\n" + tail[2:] + "\n"]))
+    The text is json.dumps(doc, separators=(",", ":"), sort_keys=True) of
+    the document plus a newline, byte for byte.  Metadata that parse_spec
+    would refuse raises SchemaError."""
+    return "".join(_pieces(frame, metadata))
 
 
 def load(path) -> tuple:
@@ -186,5 +194,8 @@ def load(path) -> tuple:
 
 
 def save(path, frame: GFrame, metadata: dict | None = None) -> None:
+    """Write serialize's text to path one block at a time, so the document is
+    never whole in memory.  Bad metadata raises before path is opened."""
+    pieces = _pieces(frame, metadata)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(frame, metadata))
+        fh.writelines(pieces)

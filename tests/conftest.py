@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -22,6 +23,16 @@ def random_frame(rng, n, dims):
     """Gaussian blocks; almost surely a frame when sum(dims) >= n."""
     assert sum(dims) >= n
     return GFrame(n, random_blocks(rng, n, dims))
+
+
+def traced_peak(call):
+    """Peak bytes traced while call() runs, counting its result."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 def random_gon(rng, n, dims):

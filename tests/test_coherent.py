@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from scipy.special import factorial, gammainc, gammaincc, roots_laguerre
@@ -15,7 +13,8 @@ from gframes.errors import (
 )
 from gframes.linalg import TOL_EQ, fro, random_unitary
 
-from conftest import dual_family, on_basis_cases, random_gon, random_riesz
+from conftest import (dual_family, on_basis_cases, random_gon, random_riesz,
+                      traced_peak)
 
 
 def series_oracle(fs, z, w):
@@ -512,16 +511,6 @@ class TestBicoherent:
         riesz, _ = random_riesz(rng, 5, (2, 3))
         with pytest.raises(NonUniformBlocks):
             gf.bicoherent_family(riesz, 0.0, 0.0)
-
-
-def traced_peak(call):
-    """Peak bytes traced while call() runs, counting its result."""
-    tracemalloc.start()
-    try:
-        result = call()
-        return tracemalloc.get_traced_memory()[1], result
-    finally:
-        tracemalloc.stop()
 
 
 class TestWorkingSet:

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -13,7 +14,7 @@ import gframes as gf
 from gframes import cli, frame_io, linalg
 from gframes.errors import ParseError, SchemaError
 
-from conftest import count_inverse_roots, random_frame
+from conftest import count_inverse_roots, random_frame, traced_peak
 
 
 # the modules every `gframe` subcommand loads, and those each one adds
@@ -45,6 +46,11 @@ EXPORTED = sorted("""
 
 def doc_for(frame, metadata=None):
     return frame_io.serialize(frame, metadata)
+
+
+def compact(doc):
+    """The text the writers produce for doc: compact JSON, sorted keys."""
+    return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
 
 
 def fresh_python(code, *args):
@@ -227,14 +233,91 @@ class TestParseSpec:
                           for B in blocks]}
         if metadata:
             doc["metadata"] = metadata
-        expected = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-        assert frame_io.serialize(F, metadata) == expected
+        assert frame_io.serialize(F, metadata) == compact(doc)
 
     def test_serialize_is_normal_form(self, rng):
         F = random_frame(rng, 3, (2, 2))
         doc = frame_io.serialize(F, {"name": "x"})
         G, meta = frame_io.parse_spec(doc)
         assert frame_io.serialize(G, meta) == doc
+
+    def test_any_whitespace_reads_as_the_written_form(self, rng):
+        # specs written in the indent=2 layout, and with any whitespace
+        # between tokens, read back to the same bits and metadata
+        F = random_frame(rng, 3, (2, 1, 3))
+        F = F.map_blocks(lambda B: np.where(np.abs(B) < 0.2, -0.0, B))
+        written = frame_io.serialize(F, {"name": "w", "description": "a b"})
+        doc = json.loads(written)
+        assert written == compact(doc)
+        indented = json.dumps(doc, indent=2, sort_keys=True)
+        spaced = re.sub(r"[][{},:]", lambda m: (
+            m.group() + "".join(rng.choice(list(" \t\r\n"), rng.integers(0, 4)))),
+            written)
+        for text in (indented, " \n" + spaced):
+            G, meta = frame_io.parse_spec(text)
+            assert [B.tobytes() for B in G.blocks] == [B.tobytes() for B in F.blocks]
+            assert frame_io.serialize(G, meta) == written
+
+
+class TestWriters:
+    BAD_METADATA = [{"author": "x"}, {"name": 3}, {"description": None},
+                    ["name"], {"name": object()}]
+
+    @pytest.mark.parametrize("metadata", BAD_METADATA)
+    def test_writers_refuse_what_the_reader_refuses(self, metadata, mercedes,
+                                                   tmp_path):
+        with pytest.raises(SchemaError) as written:
+            frame_io.serialize(mercedes, metadata)
+        path = tmp_path / "new.frame"
+        with pytest.raises(SchemaError, match=re.escape(str(written.value))):
+            frame_io.save(path, mercedes, metadata)
+        assert not path.exists()
+        try:
+            text = json.dumps({"hilbert_dim": 2, "blocks": [
+                {"rows": 1, "matrix": [[[1, 0], [0, 0]]]}], "metadata": metadata})
+        except TypeError:
+            return      # no JSON document carries this metadata
+        with pytest.raises(SchemaError) as read:
+            frame_io.parse_spec(text)
+        assert str(read.value) == str(written.value)
+
+    def test_failed_save_leaves_the_file_as_it_was(self, mercedes, tmp_path):
+        path = tmp_path / "mercedes.frame"
+        frame_io.save(path, mercedes, {"name": "mercedes"})
+        before = path.read_bytes()
+        with pytest.raises(SchemaError):
+            frame_io.save(path, mercedes.map_blocks(lambda B: 2 * B),
+                          {"name": object()})
+        assert path.read_bytes() == before
+
+    @pytest.fixture(scope="class")
+    def tall(self):
+        """A seeded 512 x 256 frame in blocks of 1-4 rows, and its document
+        written by json.dumps."""
+        rng = np.random.default_rng(512)
+        dims = []
+        while sum(dims) < 512:
+            dims.append(min(int(rng.integers(1, 5)), 512 - sum(dims)))
+        F = random_frame(rng, 256, dims)
+        doc = {"hilbert_dim": 256, "metadata": {"name": "tall"},
+               "blocks": [{"rows": B.shape[0],
+                           "matrix": np.stack([B.real, B.imag], -1).tolist()}
+                          for B in F.blocks]}
+        return F, compact(doc)
+
+    def test_serialize_holds_the_text_twice(self, tall):
+        # the block texts and their join, plus one block's working set
+        F, expected = tall
+        peak, text = traced_peak(lambda: frame_io.serialize(F, {"name": "tall"}))
+        assert text == expected
+        assert peak <= 2.05 * len(text) + 64 * 1024
+
+    def test_save_streams_the_text(self, tall, tmp_path):
+        F, expected = tall
+        path = tmp_path / "tall.frame"
+        peak, _ = traced_peak(lambda: frame_io.save(path, F, {"name": "tall"}))
+        assert path.read_text(encoding="utf-8") == expected
+        assert peak < 1024 * 1024
 
 
 class TestCli:
