@@ -272,9 +272,11 @@ def uncertainty_product(fs: FockStructure, z: complex, w: complex,
     """Uncertainty products (dq_a * dp_a, dq_b * dp_b) for the quadrature
     observables of the lowering pair, evaluated on the truncated state.
     Both converge to 1/2 as the defect vanishes."""
-    state = coherent_state(fs, z, w, defect_max=defect_max)
-    # C† v as the conjugate of v† C, which copies no n x n array
-    c = (state.vector.conj() @ fs.basis_columns).conj()
+    _checked_defect(z, w, fs.K, fs.L, defect_max)
+    # the state is v = C c / ||C c||, and C is unitary to build_fock's
+    # tol_eq, so C† v = c / ||c|| to that tolerance: no n-vector is formed
+    c = coefficient_vector(z, w, fs.K, fs.L)
+    c /= np.linalg.norm(c)
     index = np.arange(fs.K * fs.L)
     power = np.abs(c) ** 2
 

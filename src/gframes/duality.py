@@ -69,21 +69,22 @@ def check_similar(F: GFrame, G: GFrame):
     same range; the range test measures the distance of the orthogonal
     projectors from orthonormal range bases.  X is then the least-squares
     solution V_r Sigma_r^{-1} U_r† T_F, with the whitening W = V_r Sigma_r^{-1}
-    from G's cached factor and U_r = T_G W, plus one step of refinement on
-    the residual; it is verified blockwise.  No product squares Sigma or T,
-    so neither can overflow or underflow where T itself does not.
+    and the range basis U_r both from G's cached factor, plus one step of
+    refinement on the residual; it is verified blockwise.  No product
+    squares Sigma or T, so neither can overflow or underflow where T itself
+    does not.
     """
     if not F.same_shape(G):
         raise ShapeMismatch("similarity check needs identical block shapes")
-    UF = F.range_basis()
+    UF, UG = F.range_basis(), G.range_basis()
     # ||P_F||_F = sqrt(rank F)
-    if projector_gap(UF, G.range_basis()) > PROJECTOR_TOL * max(1.0, np.sqrt(UF.shape[1])):
+    if projector_gap(UF, UG) > PROJECTOR_TOL * max(1.0, np.sqrt(UF.shape[1])):
         return None
     TF, TG = analysis(F), analysis(G)
-    s, Vh = G.spectrum
-    r = G.rank()
+    s, Vh, _ = G.spectrum
+    r = UG.shape[1]
     W = Vh[:r].conj().T / s[:r]
-    Uh = (TG @ W).conj().T
+    Uh = UG.conj().T
     X = W @ (Uh @ TF)
     X -= W @ (Uh @ (TG @ X - TF))
     # blockwise Frobenius norms through hypot, which cannot overflow

@@ -11,10 +11,6 @@ class NonFinite(GFrameError):
     """Input contains NaN or Inf entries."""
 
 
-class NotPositiveDefinite(GFrameError):
-    """Matrix fails the positive-definiteness threshold."""
-
-
 class NotUnitary(GFrameError):
     """Matrix fails the unitarity check."""
 

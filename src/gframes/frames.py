@@ -6,10 +6,11 @@ The family is a frame when the summed block energies sum_j ||Lambda_j f||^2
 are sandwiched between A ||f||^2 and B ||f||^2 with A > 0.
 
 A frame stores its analysis operator T (the blocks stacked, sum d_j x n)
-once, and caches one thin SVD T = U Sigma V† of it, keeping only Sigma and
-V†.  Bounds, rank, S^{-1} and S^{-1/2} (S = T†T = V Sigma^2 V†) and range
-bases all come from that cache; S itself is never decomposed, which would
-square the condition number.
+once, and caches one thin SVD T = U Sigma V† of it, keeping all three
+factors.  Bounds and rank come from Sigma, the range basis is U_r, and the
+canonical dual T S^{-1} = U Sigma^{-1} V† and the Parseval transform
+T S^{-1/2} = U V† are formed from U.  So S = T†T is never decomposed and
+S^{-1} never formed, either of which would square the condition number.
 """
 from __future__ import annotations
 
@@ -128,11 +129,13 @@ class GFrame:
 
     @cached_property
     def spectrum(self) -> tuple:
-        """(sigma, V†) of a thin SVD T = U Sigma V† of the analysis operator:
-        the min(m, n) singular values in descending order and the rows of
-        V†.  U is not kept."""
-        _, s, Vh = np.linalg.svd(self.matrix, full_matrices=False)
-        return s, Vh
+        """(sigma, V†, U) of a thin SVD T = U Sigma V† of the analysis
+        operator: the min(m, n) singular values in descending order, the
+        rows of V† and the m x min(m, n) left factor U, all read-only."""
+        U, s, Vh = np.linalg.svd(self.matrix, full_matrices=False)
+        for A in (s, Vh, U):
+            A.flags.writeable = False
+        return s, Vh, U
 
     @cached_property
     def canonical_dual(self) -> "GFrame":
@@ -148,13 +151,9 @@ class GFrame:
 
     def range_basis(self) -> np.ndarray:
         """Orthonormal basis of the analysis range, as the columns of an
-        m x r matrix: the Q factor of T V_r, with V_r the right singular
-        vectors of the r = rank() leading singular values."""
-        r = self.rank()
-        if r == 0:
-            return np.zeros((self.total_dim, 0), dtype=np.complex128)
-        Q, _ = np.linalg.qr(self.matrix @ self.spectrum[1][:r].conj().T)
-        return Q
+        m x r matrix: U_r, the left singular vectors of the r = rank()
+        leading singular values, a read-only view of the cached factor."""
+        return self.spectrum[2][:, :self.rank()]
 
     def map_blocks(self, fn) -> "GFrame":
         return GFrame(self.hilbert_dim, tuple(fn(B) for B in self.blocks))
@@ -207,17 +206,15 @@ def frame_operator(F: GFrame) -> np.ndarray:
 
 
 def _times_inverse_root(F: GFrame, k: int) -> GFrame:
-    """The frame with analysis matrix T S^{-k/2} = T V Sigma^{-k} V†, from
-    the cached factor.
+    """The frame with analysis matrix T S^{-k/2} = U Sigma^{1-k} V†, from
+    the cached factor: the canonical dual U Sigma^{-1} V† (k = 2) and the
+    Parseval transform U V† (k = 1), the polar factor of T.
 
-    Sigma is first divided by 2^e, the power of two at sigma_max, so that
-    Sigma^{-k} cannot overflow; multiplying back by 2^-e, k times, is exact
-    and gives the same bits as the unscaled product."""
-    s, Vh = F.spectrum
-    e = int(np.frexp(s[0])[1])
-    R = F.matrix @ ((Vh.conj().T * np.ldexp(s, -e) ** float(-k)) @ Vh)
-    for _ in range(k):
-        R *= 2.0 ** -e
+    No product forms S^{-1}, whose error grows as cond(T)^2, and Sigma^{-1}
+    is already at the scale of the result, so nothing overflows where the
+    result itself does not."""
+    s, Vh, U = F.spectrum
+    R = U @ (s[:, None] ** float(1 - k) * Vh)
     return GFrame(F.hilbert_dim, _row_blocks(R, F.block_dims))
 
 

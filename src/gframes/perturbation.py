@@ -17,13 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import (
-    DegenerateTheta,
-    NotAFrame,
-    NotPositiveDefinite,
-    PremiseNotVerifiable,
-    ShapeMismatch,
-)
+from .errors import DegenerateTheta, NotAFrame, PremiseNotVerifiable, ShapeMismatch
 from .frames import GFrame, analysis, frame_bounds
 
 
@@ -51,22 +45,14 @@ class GavrutaReport:
     actual_lower_lambda: float
 
 
-def _whitened(D: np.ndarray, F: GFrame):
-    """The whitening W = V Sigma^{-1} of F's frame operator and the
-    Hermitian W† D†D W, whose spectrum is that of the pencil (D†D, S_F)."""
-    if not frame_bounds(F).is_frame:
-        raise NotPositiveDefinite("denominator frame operator is singular")
-    s, Vh = F.spectrum
-    W = Vh.conj().T / s
-    DW = D @ W
-    A = DW.conj().T @ DW
-    return W, (A + A.conj().T) / 2.0
-
-
 def _pencil_max(D: np.ndarray, F: GFrame) -> float:
-    """Largest eigenvalue of the pencil (D†D, S_F)."""
-    _, A = _whitened(D, F)
-    return float(max(np.linalg.eigvalsh(A)[-1], 0.0))
+    """Largest eigenvalue of the pencil (D†D, S_F) of a frame F: that of
+    the Hermitian W† D†D W, with the whitening W = V Sigma^{-1} of F's
+    frame operator."""
+    s, Vh, _ = F.spectrum
+    DW = D @ (Vh.conj().T / s)
+    A = DW.conj().T @ DW
+    return float(max(np.linalg.eigvalsh((A + A.conj().T) / 2.0)[-1], 0.0))
 
 
 def optimal_M(F: GFrame, G: GFrame) -> PerturbationReport:
@@ -91,15 +77,6 @@ def optimal_M(F: GFrame, G: GFrame) -> PerturbationReport:
         actual_lower=bG.lower,
         actual_upper=bG.upper,
     )
-
-
-def perturbation_maximizer(F: GFrame, G: GFrame, side: str = "lambda"):
-    """Unit vector attaining the one-sided perturbation ratio; exposed so
-    tests can confirm the eigenvalue answer against direct evaluation."""
-    W, A = _whitened(analysis(F) - analysis(G), F if side == "lambda" else G)
-    _, Q = np.linalg.eigh(A)
-    f = W @ Q[:, -1]
-    return f / np.linalg.norm(f)
 
 
 def one_sided_M(F: GFrame, G: GFrame):

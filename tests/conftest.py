@@ -35,6 +35,16 @@ def traced_peak(call):
         tracemalloc.stop()
 
 
+def conditioned_frame(kappa):
+    """A 64 x 16 frame in 32 blocks of 2 rows with cond(T) = kappa:
+    T = Q1 diag(geomspace(1, 1/kappa, 16)) Q2, with Q1 the first 16
+    columns of a unitary and Q2 unitary, both drawn from default_rng(5)."""
+    rng = np.random.default_rng(5)
+    Q1 = random_unitary(64, rng)[:, :16]
+    T = (Q1 * np.geomspace(1.0, 1.0 / kappa, 16)) @ random_unitary(16, rng)
+    return GFrame(16, tuple(np.split(T, 32)))
+
+
 def random_gon(rng, n, dims):
     return make_gon_basis(n, dims, rotation=random_unitary(n, rng))
 

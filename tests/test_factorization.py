@@ -1,6 +1,6 @@
 """The stored analysis matrix and its one cached factorization.
 
-Every derivation from the cached (sigma, V†) is checked against an
+Every derivation from the cached (sigma, V†, U) is checked against an
 independent numpy reference at cond(S) = 1, 1e4 and 1e8, on frames built as
 T = U diag(sigma) V† so that the exact answers are known too.  References
 that form S = T†T are accurate only to about eps * cond(S); the exact ones
@@ -18,6 +18,7 @@ from gframes.errors import NonFinite, NotOnBasis, Singular
 from gframes.linalg import TOL_EQ, TOL_PD, TOL_RANK, fro, random_unitary
 
 from conftest import (
+    conditioned_frame,
     count_decompositions,
     decomposition_counts,
     on_basis_cases,
@@ -131,13 +132,19 @@ class TestStoredMatrix:
         for G in built:
             assert all(np.shares_memory(B, G.matrix) for B in G.blocks)
 
-    def test_cache_holds_sigma_and_v_only(self, rng):
+    def test_cache_holds_the_three_factors(self, rng):
+        """The cache is (sigma, V†, U) of one thin SVD, read-only, and the
+        range basis is a view of U."""
         F, _, s, V = conditioned(rng, 1e4)
-        sigma, Vh = F.spectrum
+        sigma, Vh, U = F.spectrum
         assert F.spectrum is F.spectrum
-        assert sigma.shape == (12,) and Vh.shape == (12, 12)
+        assert sigma.shape == (12,) and Vh.shape == (12, 12) and U.shape == (30, 12)
         np.testing.assert_allclose(sigma, s, rtol=1e-12)
         assert fro(np.abs(Vh @ V) - np.eye(12)) <= 1e-8
+        assert fro(U.conj().T @ U - np.eye(12)) <= 100 * EPS
+        assert rel((U * sigma) @ Vh, F.matrix) <= 100 * EPS
+        assert not any(A.flags.writeable for A in F.spectrum)
+        assert np.shares_memory(F.range_basis(), U)
 
 
 class TestOneFactorization:
@@ -178,8 +185,10 @@ class TestOneFactorization:
         assert {id(A) for A in svds} == {id(F.matrix), id(G.matrix), id(D.matrix)}
         counts = decomposition_counts(calls)
         assert counts["lstsq"] == 0
-        # 3 SVDs, the range bases of F (twice) and D, and 3 pencils
-        assert sum(counts.values()) <= 9
+        # the range bases are the cached U factors, so no QR
+        assert counts["qr"] == 0
+        # 3 SVDs (F, G and D) and 3 pencils
+        assert sum(counts.values()) <= 6
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
@@ -243,6 +252,22 @@ class TestDerivationsAgainstNumpy:
                 assert gf.check_biorthogonal(G, H) == ref
 
 
+@pytest.mark.parametrize("kappa", [1e3, 1e4, 1e5, 9e5])
+def test_duals_reconstruct_up_to_the_frame_rule(kappa):
+    """Below the frame rule's limit cond(T) = 1e6 the canonical dual
+    reconstructs at TOL_EQ, and the Parseval transform is orthonormal to
+    round-off: neither goes through S^{-1}, whose error grows as
+    cond(T)^2."""
+    F = conditioned_frame(kappa)
+    assert gf.classify(F).is_frame
+    D = gf.canonical_dual(F)
+    assert gf.check_dual_pair(F, D, tol_eq=TOL_EQ)
+    M = D.matrix.conj().T @ F.matrix
+    assert fro(M - np.eye(16)) <= 1e-10 * fro(M)
+    P = gf.parseval_transform(F).matrix
+    assert fro(P.conj().T @ P - np.eye(16)) <= 100 * EPS
+
+
 def test_rank_deficient_range_basis(rng):
     A = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     T = A @ (rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5)))
@@ -252,6 +277,10 @@ def test_rank_deficient_range_basis(rng):
     U = np.linalg.svd(T)[0][:, :3]
     assert Q.shape == (8, 3)
     assert fro(Q @ Q.conj().T - U @ U.conj().T) <= 1e-12
+    # rank 0: an empty basis, and every unit vector is a kernel vector
+    Z = gf.GFrame(5, (np.zeros((8, 5)),))
+    assert Z.rank() == 0 and Z.range_basis().shape == (8, 0)
+    assert np.linalg.norm(duality.kernel_vector(Z)) == pytest.approx(1.0)
 
 
 def test_block_rule_matches_per_block_loop_near_threshold(rng, mercedes):

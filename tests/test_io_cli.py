@@ -14,7 +14,7 @@ import gframes as gf
 from gframes import cli, frame_io, linalg
 from gframes.errors import ParseError, SchemaError
 
-from conftest import count_inverse_roots, random_frame, traced_peak
+from conftest import conditioned_frame, count_inverse_roots, random_frame, traced_peak
 
 
 # the modules every `gframe` subcommand loads, and those each one adds
@@ -646,6 +646,23 @@ class TestCli:
         assert not (cls["is_frame"] or cls["is_riesz_basis"] or cls["is_on_basis"])
         assert reports[1]["classification"] == cls
         assert "dual_bounds" not in reports[1]
+
+    @pytest.mark.parametrize("kappa", [1e3, 1e4, 1e5, 9e5])
+    def test_ill_conditioned_frame_keeps_its_duals(self, kappa, tmp_path, capsys):
+        """A frame with cond(T) up to the frame rule's limit passes `dual`,
+        and in `all` its canonical and alternate duals reconstruct and the
+        dual bounds are reciprocal.  `gram_distinguishes_canonical` still
+        fails at cond(T) >= 1e5, where the alternate dual's added term is
+        below TOL_EQ of the canonical dual, so `all` exits 0 up to 1e4."""
+        p = tmp_path / "conditioned.frame"
+        frame_io.save(p, conditioned_frame(kappa))
+        assert cli.main(["dual", str(p)]) == 0
+        capsys.readouterr()
+        code = cli.main(["all", str(p)])
+        passed = {c["name"]: c["pass"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert passed["dual_pair"] and passed["reciprocal_bounds"]
+        assert passed["alternate_dual_reconstruction"]
+        assert code == 0 if kappa <= 1e4 else code in (0, 1)
 
     def test_all_forms_the_canonical_dual_once(self, mercedes_path, capsys,
                                                monkeypatch):
