@@ -118,9 +118,12 @@ def run_dual(args, report, frame, name):
     report.set("dual_bounds", dataclasses.asdict(dual_bounds))
     ok = frames.check_dual_pair(frame, dual, tol_eq=args.tol)
     report.add_check("dual_pair", ok, 0.0 if ok else 1.0, args.tol)
+    # the dual's cached factor is the frame's, so its bounds are 1/B and
+    # 1/A by construction: measure the dual's own matrix instead
+    s = np.linalg.svd(frames.analysis(dual), compute_uv=False)
     err = max(
-        abs(dual_bounds.lower - 1.0 / bounds.upper) * bounds.upper,
-        abs(dual_bounds.upper - 1.0 / bounds.lower) * bounds.lower,
+        abs(s[-1] ** 2 - 1.0 / bounds.upper) * bounds.upper,
+        abs(s[0] ** 2 - 1.0 / bounds.lower) * bounds.lower,
     )
     report.add_check("reciprocal_bounds", err <= 1e-8, err, 1e-8)
     if args.emit:

@@ -70,7 +70,9 @@ def check_similar(F: GFrame, G: GFrame):
     projectors from orthonormal range bases.  X is then the least-squares
     solution V_r Sigma_r^{-1} U_r† T_F, with the whitening W = V_r Sigma_r^{-1}
     and the range basis U_r both from G's cached factor, plus one step of
-    refinement on the residual; it is verified blockwise.  No product
+    refinement on the residual; it is verified blockwise on the matrices,
+    so the check stays real for a canonical dual, whose cached factor is
+    its frame's rather than its own.  No product
     squares Sigma or T, so neither can overflow or underflow where T itself
     does not.
     """

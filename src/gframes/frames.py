@@ -11,6 +11,7 @@ factors.  Bounds and rank come from Sigma, the range basis is U_r, and the
 canonical dual T S^{-1} = U Sigma^{-1} V† and the Parseval transform
 T S^{-1/2} = U V† are formed from U.  So S = T†T is never decomposed and
 S^{-1} never formed, either of which would square the condition number.
+The canonical dual is never factored: its SVD is F's, read in reverse.
 """
 from __future__ import annotations
 
@@ -140,10 +141,24 @@ class GFrame:
     @cached_property
     def canonical_dual(self) -> "GFrame":
         """The family Lambda_j S^{-1}, formed once from the cached factor;
-        raises NotAFrame when the family is not a frame."""
+        raises NotAFrame when the family is not a frame.
+
+        U Sigma^{-1} V† is already a thin SVD of the dual once its terms are
+        put in descending order of 1/sigma, so the dual's spectrum is stored
+        rather than computed: a new read-only 1/sigma[::-1] and the read-only
+        views V†[::-1] and U[:, ::-1] of this frame's factors.  The dual
+        holds those arrays, not this frame, so caching it makes no reference
+        cycle.  The Parseval transform stores no factor: nothing reads it,
+        and a stored sigma = 1 would pass every Parseval test of it by
+        construction."""
         if not frame_bounds(self).is_frame:
             raise NotAFrame("canonical dual requires a frame")
-        return _times_inverse_root(self, 2)
+        D = _times_inverse_root(self, 2)
+        s, Vh, U = self.spectrum
+        s_dual = 1.0 / s[::-1]
+        s_dual.flags.writeable = False
+        D.__dict__["spectrum"] = (s_dual, Vh[::-1], U[:, ::-1])
+        return D
 
     def rank(self) -> int:
         """Number of singular values above TOL_RANK * sigma_max."""

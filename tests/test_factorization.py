@@ -8,6 +8,8 @@ hold the code to eps * cond(T), which a route through S would miss at
 cond(S) = 1e8.
 """
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from conftest import (
     decomposition_counts,
     on_basis_cases,
     random_gon,
+    traced_peak,
 )
 
 EPS = np.finfo(float).eps
@@ -150,7 +153,8 @@ class TestStoredMatrix:
 class TestOneFactorization:
     def test_frames_dense_suite_factors_each_frame_once(self, rng, monkeypatch):
         """The frame suite of one benchmark case on an n = 16 Parseval frame
-        and its perturbed twin: each frame is factored once, S never."""
+        and its perturbed twin: each frame is factored once, its canonical
+        dual and S never."""
         n, dims = 16, (1, 4, 3, 2, 4, 1, 3, 4, 2, 4, 2, 2)
         T = rng.standard_normal((32, n)) + 1j * rng.standard_normal((32, n))
         w, Q = np.linalg.eigh(T.conj().T @ T)
@@ -181,14 +185,15 @@ class TestOneFactorization:
 
         svds = [A for name, A in calls if name == "svd"]
         assert sum(A is F.matrix for A in svds) == 1
-        assert len(svds) == 3
-        assert {id(A) for A in svds} == {id(F.matrix), id(G.matrix), id(D.matrix)}
+        assert len(svds) == 2
+        # the dual's factor is F's, read in reverse
+        assert {id(A) for A in svds} == {id(F.matrix), id(G.matrix)}
         counts = decomposition_counts(calls)
         assert counts["lstsq"] == 0
         # the range bases are the cached U factors, so no QR
         assert counts["qr"] == 0
-        # 3 SVDs (F, G and D) and 3 pencils
-        assert sum(counts.values()) <= 6
+        # 2 SVDs (F and G) and 3 pencils
+        assert sum(counts.values()) <= 5
 
 
 @pytest.mark.parametrize("kappa", KAPPAS)
@@ -252,7 +257,10 @@ class TestDerivationsAgainstNumpy:
                 assert gf.check_biorthogonal(G, H) == ref
 
 
-@pytest.mark.parametrize("kappa", [1e3, 1e4, 1e5, 9e5])
+SWEEP = (1e3, 1e4, 1e5, 9e5)
+
+
+@pytest.mark.parametrize("kappa", SWEEP)
 def test_duals_reconstruct_up_to_the_frame_rule(kappa):
     """Below the frame rule's limit cond(T) = 1e6 the canonical dual
     reconstructs at TOL_EQ, and the Parseval transform is orthonormal to
@@ -266,6 +274,77 @@ def test_duals_reconstruct_up_to_the_frame_rule(kappa):
     assert fro(M - np.eye(16)) <= 1e-10 * fro(M)
     P = gf.parseval_transform(F).matrix
     assert fro(P.conj().T @ P - np.eye(16)) <= 100 * EPS
+
+
+@pytest.mark.parametrize("kappa", SWEEP)
+class TestDualFactorIsTheFrames:
+    """The canonical dual's cached (sigma, V†, U) is F's factor read in
+    reverse, never a second SVD."""
+
+    def test_matches_a_fresh_svd(self, kappa):
+        """The stored sigma match the dual matrix's own to 50 eps kappa.  The
+        range projectors agree to 5 eps kappa: forming U Sigma^-1 V† rounds
+        by eps / sigma_min, which turns the matrix's range, not the stored
+        one, by about eps kappa."""
+        F = conditioned_frame(kappa)
+        D = gf.canonical_dual(F)
+        s, _, U = D.spectrum
+        U_ref, s_ref, _ = np.linalg.svd(D.matrix, full_matrices=False)
+        assert np.max(np.abs(s - s_ref) / s_ref) <= 50 * EPS * kappa
+        assert duality.projector_gap(D.range_basis(), U_ref) <= 5 * EPS * kappa
+        assert rel((U * s) @ D.spectrum[1], D.matrix) <= 50 * EPS * kappa
+
+    def test_views_of_the_frames_factor(self, kappa):
+        F = conditioned_frame(kappa)
+        D = gf.canonical_dual(F)
+        assert not any(A.flags.writeable for A in D.spectrum)
+        assert D.spectrum[1].base is F.spectrum[1]
+        assert D.spectrum[2].base is F.spectrum[2]
+
+    def test_holds_no_reference_to_the_frame(self, kappa):
+        """F caches D, so a reference back would be a cycle that keeps F
+        alive until the cyclic collector runs."""
+        gc.disable()
+        try:
+            F = conditioned_frame(kappa)
+            D = gf.canonical_dual(F)
+            alive = weakref.ref(F)
+            del F
+            assert alive() is None
+            assert D.spectrum[0].shape == (16,)
+        finally:
+            gc.enable()
+
+    def test_allocates_the_dual_matrix_only(self, kappa):
+        """Forming D and reading its factor allocates what forming the
+        Parseval transform does (one m x n product from an n x n operand,
+        wrapped as a frame) plus O(n), not the m x n left factor that a
+        second SVD would add.  tracemalloc's peak for the same call wanders
+        by about 2 KB between runs, so the margin is a quarter of that
+        factor (4 KB here)."""
+        F = conditioned_frame(kappa)
+        F.spectrum
+        m, n = F.matrix.shape
+        formed, _ = traced_peak(lambda: gf.parseval_transform(F))
+        peak, _ = traced_peak(lambda: gf.canonical_dual(F).spectrum)
+        assert formed <= m * n * 16 + n * n * 16 + 16 * 1024
+        assert peak <= formed + m * n * 16 // 4
+
+    def test_similarity_rejects_a_dual_off_the_range(self, kappa):
+        """A dual plus a term outside F's range of 1e-6 times its norm,
+        keeping the stored factor of the exact dual, passes the range test
+        but is not F X: the blockwise verification rejects it."""
+        F = conditioned_frame(kappa)
+        D = gf.canonical_dual(F)
+        if kappa <= 1e5:
+            # at 9e5 the exact dual fails the blockwise rule as well
+            assert duality.check_similar(D, F) is not None
+        size = 1e-6 * np.linalg.norm(D.matrix)
+        term = size * np.outer(duality.kernel_vector(F), np.ones(16) / 4)
+        Dp = gf.GFrame(16, frames._row_blocks(D.matrix + term, D.block_dims))
+        Dp.__dict__["spectrum"] = D.spectrum
+        assert duality.projector_gap(Dp.range_basis(), F.range_basis()) <= 1e-12
+        assert duality.check_similar(Dp, F) is None
 
 
 def test_rank_deficient_range_basis(rng):

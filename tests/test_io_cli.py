@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gframes as gf
-from gframes import cli, frame_io, linalg
+from gframes import cli, frame_io, frames, linalg
 from gframes.errors import ParseError, SchemaError
 
 from conftest import conditioned_frame, count_inverse_roots, random_frame, traced_peak
@@ -663,6 +663,25 @@ class TestCli:
         assert passed["dual_pair"] and passed["reciprocal_bounds"]
         assert passed["alternate_dual_reconstruction"]
         assert code == 0 if kappa <= 1e4 else code in (0, 1)
+
+    def test_reciprocal_bounds_measure_the_dual(self, mercedes_path, capsys,
+                                                monkeypatch):
+        """A dual whose matrix is scaled by 1 + 1e-6 but which stores the
+        exact dual's factor fails `reciprocal_bounds`: the check reads the
+        dual's own singular values, not the factor it caches."""
+        inverse_root = frames._times_inverse_root
+
+        def scaled(F, k):
+            D = inverse_root(F, k)
+            return gf.GFrame(F.hilbert_dim, tuple((1 + 1e-6) * B for B in D.blocks))
+
+        monkeypatch.setattr(frames, "_times_inverse_root", scaled)
+        assert cli.main(["dual", mercedes_path]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        check = {c["name"]: c for c in doc["checks"]}["reciprocal_bounds"]
+        assert not check["pass"] and check["measured"] > 1e-6
+        # the reported bounds come from the stored factor
+        assert doc["dual_bounds"]["lower"] == pytest.approx(1 / doc["bounds"]["upper"])
 
     def test_all_forms_the_canonical_dual_once(self, mercedes_path, capsys,
                                                monkeypatch):
