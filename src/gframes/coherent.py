@@ -321,7 +321,7 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
         raise NonUniformBlocks(f"block dimensions {dims} are not uniform")
 
     polar = W @ Vh
-    gon = GFrame(n, tuple(np.split(polar, len(dims))))
+    gon = GFrame._from_matrix(polar, dims)
     fs = build_fock(gon, tol_eq=TOL_FLOOR)
     defect = _checked_defect(z, w, fs.K, fs.L, defect_max)
 

@@ -10,8 +10,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import IsRieszBasis, NotADual, NotAFrame, ShapeMismatch, ZeroProbe
-from .frames import GFrame, _row_blocks, analysis, canonical_dual, check_dual_pair, classify
-from .linalg import PROJECTOR_TOL, TOL_EQ, fro, projector_gap
+from .frames import GFrame, analysis, canonical_dual, check_dual_pair, classify
+from .linalg import PROJECTOR_TOL, TOL_EQ, block_norms, fro, projector_gap
 
 
 def kernel_vector(F: GFrame, seed: int = 0) -> np.ndarray:
@@ -59,7 +59,7 @@ def construct_alternate_dual(F: GFrame, g0, seed: int = 0) -> GFrame:
 
     kv = kernel_vector(F, seed=seed)
     T = analysis(canonical_dual(F)) + np.outer(kv, g0.conj())
-    return GFrame(F.hilbert_dim, _row_blocks(T, F.block_dims))
+    return GFrame._from_matrix(T, F.block_dims)
 
 
 def check_similar(F: GFrame, G: GFrame):
@@ -72,7 +72,9 @@ def check_similar(F: GFrame, G: GFrame):
     and the range basis U_r both from G's cached factor, plus one step of
     refinement on the residual; it is verified blockwise on the matrices,
     so the check stays real for a canonical dual, whose cached factor is
-    its frame's rather than its own.  No product
+    its frame's rather than its own.  The blockwise tolerance is
+    max(TOL_EQ, 16 eps cond(T_G)), with cond(T_G) from G's cached sigma: an
+    exact X carries W's round-off, about eps cond(T_G).  No product
     squares Sigma or T, so neither can overflow or underflow where T itself
     does not.
     """
@@ -89,11 +91,9 @@ def check_similar(F: GFrame, G: GFrame):
     Uh = UG.conj().T
     X = W @ (Uh @ TF)
     X -= W @ (Uh @ (TG @ X - TF))
-    # blockwise Frobenius norms through hypot, which cannot overflow
-    starts = np.cumsum((0,) + F.block_dims[:-1])
-    err = np.hypot.reduceat(np.hypot.reduce(np.abs(TG @ X - TF), axis=1), starts)
-    ref = np.hypot.reduceat(np.hypot.reduce(np.abs(TF), axis=1), starts)
-    if not np.all(err <= TOL_EQ * np.maximum(1.0, ref)):
+    tol = max(TOL_EQ, 16 * np.finfo(np.float64).eps * s[0] / s[r - 1]) if r else TOL_EQ
+    err = block_norms(TG @ X - TF, F.block_dims)
+    if not np.all(err <= tol * np.maximum(1.0, block_norms(TF, F.block_dims))):
         return None
     return X
 

@@ -15,8 +15,9 @@ tokens.
 """
 from __future__ import annotations
 
+import gc
 import json
-from itertools import chain, repeat
+from itertools import accumulate, chain
 
 import numpy as np
 
@@ -26,6 +27,21 @@ from .frames import GFrame
 _TOP_FIELDS = {"hilbert_dim", "blocks", "metadata"}
 _BLOCK_FIELDS = {"rows", "matrix"}
 _META_FIELDS = {"name", "description"}
+# numbers per conversion of the reader and per join of the writers
+_RUN = 4096
+
+
+def _runs(dims, n):
+    """(j, k, a, b) for consecutive runs of whole blocks j..k-1, which
+    hold rows a..b-1: a run ends at the first block end at least
+    _RUN // (2n) rows past its start, so it holds about _RUN numbers, or
+    one block that holds more."""
+    step = max(1, _RUN // (2 * n))
+    j = a = 0
+    for k, b in enumerate(accumulate(dims), 1):
+        if b - a >= step or k == len(dims):
+            yield j, k, a, b
+            j, a = k, b
 
 
 def _entry(value, where):
@@ -51,24 +67,6 @@ def _walk_block(mat, n, where) -> np.ndarray:
     return np.array(rows, dtype=np.complex128)
 
 
-def _bulk_block(mat, n):
-    """The block read in one conversion, or None when some row or entry is
-    malformed (then `_walk_block` finds and names it)."""
-    try:
-        P = np.array(mat, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    # the shape makes every row a list of n pairs, so the two-level chain
-    # reaches every number; np.array converts bools and numeric strings,
-    # which the exact type test refuses (bool is a subclass of int)
-    if (P.shape != (len(mat), n, 2)
-            or not set(map(type, chain.from_iterable(chain.from_iterable(mat))))
-            <= {int, float}):
-        return None
-    # each contiguous (re, im) pair of P is one complex128
-    return P.view(np.complex128).reshape(len(mat), n)
-
-
 def _block_matrix(blk, where) -> list:
     """The matrix field of one block object, once its structure checks out."""
     if not isinstance(blk, dict):
@@ -88,17 +86,58 @@ def _block_matrix(blk, where) -> list:
 
 
 def _read_block(blk, n, where) -> np.ndarray:
-    """One block object read whole, structure then entries, so the first
-    error in the document is the one raised."""
-    mat = _block_matrix(blk, where)
-    M = _bulk_block(mat, n)
-    if M is None:
-        M = _walk_block(mat, n, where)
+    """One block object read whole, structure then entries."""
+    M = _walk_block(_block_matrix(blk, where), n, where)
     # json.loads reads NaN, Infinity and overflowing literals as non-finite
     # floats
     if not np.isfinite(M).all():
         raise SchemaError(f"{where}: entries must be finite")
     return M
+
+
+def _read_blocks(blocks, n) -> tuple:
+    """The per-block reader: each block read whole, structure then entries,
+    so the first error in the document is the one raised."""
+    return tuple(_read_block(blk, n, f"blocks[{j}]") for j, blk in enumerate(blocks))
+
+
+def _read_matrix(blocks, n):
+    """(T, dims): the entries of every block in one m x n array, with the
+    block heights, or None when anything is malformed (then `_read_blocks`
+    finds and names it).
+
+    The blocks' structure is checked, then every row's length, before T is
+    allocated, so a huge n fails as a short row rather than as an
+    allocation.  The entries are converted in runs of whole blocks, with
+    one length test, one type test and one np.array conversion per run,
+    and T gets one finite test."""
+    try:
+        mats = [_block_matrix(blk, f"blocks[{j}]") for j, blk in enumerate(blocks)]
+        rows = list(chain.from_iterable(mats))
+        if set(map(len, rows)) != {n}:
+            return None
+        dims = tuple(map(len, mats))
+        T = np.empty((len(rows), n), dtype=np.complex128)
+        # each contiguous (re, im) pair of the float view is one complex128
+        flat = T.reshape(-1).view(np.float64)
+        for _, _, a, b in _runs(dims, n):
+            entries = list(chain.from_iterable(rows[a:b]))
+            numbers = list(chain.from_iterable(entries))
+            # a JSON container that is not a list is a string or an object,
+            # whose items are strings, so every wrong shape fails one of the
+            # two tests; np.array converts bools and numeric strings, which
+            # the exact type test refuses (bool is a subclass of int)
+            if (set(map(len, entries)) != {2}
+                    or not set(map(type, numbers)) <= {int, float}):
+                return None
+            flat[2 * n * a:2 * n * b] = np.array(numbers, dtype=np.float64)
+    except (SchemaError, TypeError, OverflowError):
+        return None
+    # json.loads reads NaN, Infinity and overflowing literals as non-finite
+    # floats
+    if not np.isfinite(flat).all():
+        return None
+    return T, dims
 
 
 def _metadata(metadata) -> dict:
@@ -116,7 +155,25 @@ def _metadata(metadata) -> dict:
 
 
 def parse_spec(text: str) -> tuple:
-    """Parse a frame-spec document; returns (GFrame, metadata dict)."""
+    """Parse a frame-spec document; returns (GFrame, metadata dict).
+
+    The entries are read into one matrix in runs; when that read fails, the
+    per-block reader runs from the start, so the first error in the
+    document is the one raised.  The read runs with the cyclic collector
+    paused, and the collector is left as the caller had it: a JSON document
+    holds no cycle, yet its lists set off hundreds of collections.  The
+    document is dropped before the collector resumes, so no collection
+    ever walks it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _parse(text)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parse(text: str) -> tuple:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -138,40 +195,54 @@ def parse_spec(text: str) -> tuple:
     if not isinstance(doc["blocks"], list) or not doc["blocks"]:
         raise SchemaError("blocks must be a nonempty array")
 
-    blocks = tuple(_read_block(blk, n, f"blocks[{j}]")
-                   for j, blk in enumerate(doc["blocks"]))
-    return GFrame(n, blocks), _metadata(doc.get("metadata", {}))
+    read = _read_matrix(doc["blocks"], n)
+    frame = GFrame._from_matrix(*read) if read else GFrame(n, _read_blocks(doc["blocks"], n))
+    return frame, _metadata(doc.get("metadata", {}))
 
 
 # json.dumps(doc, separators=(",", ":"), sort_keys=True) lays a block out as
 # {"matrix":[[[re,im],[re,im]],[[re,im],[re,im]]],"rows":d}; its matrix text
 # is written directly, with the float.__repr__ json uses for finite floats,
-# so that no more than one block's numbers are Python objects at a time
+# so that no more than one run's numbers are Python objects at a time
 _IN_PAIR, _NEXT_PAIR, _NEXT_ROW = ",", "],[", "]],[["
+_NEXT_BLOCK = ',{"matrix":[[['
 
 
-def _block_text(B: np.ndarray) -> str:
-    d, n = B.shape
-    numbers = map(float.__repr__, np.stack([B.real, B.imag], -1).ravel().tolist())
+def _separators(d: int, n: int) -> list:
+    """The text after each number of a block of height d: the last closes
+    the block and opens the next one."""
     row_seps = [_IN_PAIR, _NEXT_PAIR] * n
     row_seps[-1] = _NEXT_ROW
     seps = row_seps * d
-    seps[-1] = f']]],"rows":{d}}}'
-    return '{"matrix":[[[' + "".join(chain.from_iterable(zip(numbers, seps)))
+    seps[-1] = f']]],"rows":{d}}}' + _NEXT_BLOCK
+    return seps
+
+
+def _run_texts(frame: GFrame):
+    """The blocks' text after the first block's opening, in runs of whole
+    blocks of about _RUN numbers, one join each, read from one float64 view
+    of the matrix, with one separator list per block height."""
+    n, dims = frame.hilbert_dim, frame.block_dims
+    numbers = frame.matrix.view(np.float64)     # row i: re, im of each entry
+    seps = {d: _separators(d, n) for d in set(dims)}
+    for j, k, a, b in _runs(dims, n):
+        text = "".join(chain.from_iterable(zip(
+            map(float.__repr__, numbers[a:b].ravel().tolist()),
+            chain.from_iterable(map(seps.__getitem__, dims[j:k])))))
+        yield text if k < len(dims) else text[:-len(_NEXT_BLOCK)]
 
 
 def _pieces(frame: GFrame, metadata: dict | None):
-    """The document's text as an iterator of pieces: each block's text, the
-    separators around them and the keys after the blocks.  The metadata is
+    """The document's text as an iterator of pieces: the runs of blocks, the
+    text around them and the keys after the blocks.  The metadata is
     checked here, before the first piece is asked for."""
     rest = {"hilbert_dim": frame.hilbert_dim}
     if metadata:
         rest["metadata"] = _metadata(metadata)
     # "blocks" sorts first; the keys after it close the document
     tail = json.dumps(rest, separators=(",", ":"), sort_keys=True)
-    heads = chain(['{"blocks":['], repeat(","))
-    blocks = chain.from_iterable(zip(heads, map(_block_text, frame.blocks)))
-    return chain(blocks, ["]," + tail[1:] + "\n"])
+    return chain(['{"blocks":[' + _NEXT_BLOCK[1:]], _run_texts(frame),
+                 ["]," + tail[1:] + "\n"])
 
 
 def serialize(frame: GFrame, metadata: dict | None = None) -> str:
@@ -194,8 +265,9 @@ def load(path) -> tuple:
 
 
 def save(path, frame: GFrame, metadata: dict | None = None) -> None:
-    """Write serialize's text to path one block at a time, so the document is
-    never whole in memory.  Bad metadata raises before path is opened."""
+    """Write serialize's text to path one run of blocks at a time, so the
+    document is never whole in memory.  Bad metadata raises before path is
+    opened."""
     pieces = _pieces(frame, metadata)
     with open(path, "w", encoding="utf-8") as fh:
         fh.writelines(pieces)

@@ -81,17 +81,18 @@ class GFrame:
     """Ordered family of complex blocks, all with the same column count.
 
     `matrix` is the stacked analysis operator T; the blocks are read-only
-    row views of it.  Blocks that already are consecutive row slices of one
-    C-contiguous complex array U (`np.split` of it, say) share U's memory;
-    any others are stacked once.  U itself stays writable, and a write to it
-    changes the frame's entries but not a spectrum already cached, so copy
-    U before writing to it.
+    row views of it, with heights `block_dims`.  Blocks that already are
+    consecutive row slices of one C-contiguous complex array U (`np.split`
+    of it, say) share U's memory; any others are stacked once.  U itself
+    stays writable, and a write to it changes the frame's entries but not a
+    spectrum already cached, so copy U before writing to it.
 
     Frames compare and hash by identity."""
 
     hilbert_dim: int
     blocks: tuple
     matrix: np.ndarray = field(init=False, repr=False)
+    block_dims: tuple = field(init=False, repr=False)
 
     def __post_init__(self):
         n = self.hilbert_dim
@@ -110,18 +111,35 @@ class GFrame:
         T = _tiled(blocks, n)
         if T is None:
             T = np.concatenate(blocks)
-            T.flags.writeable = False
         else:
             # the caller's blocks share T's memory: a write through one
             # would change a frame whose spectrum may already be cached
             for A in blocks:
                 A.flags.writeable = False
-        object.__setattr__(self, "matrix", as_cmatrix(T))
-        object.__setattr__(self, "blocks", _row_blocks(T, [A.shape[0] for A in blocks]))
+        self._hold(T, tuple(A.shape[0] for A in blocks))
 
-    @property
-    def block_dims(self):
-        return tuple(B.shape[0] for B in self.blocks)
+    @classmethod
+    def _from_matrix(cls, T, dims) -> "GFrame":
+        """The frame whose analysis matrix is T, in blocks of heights
+        `dims`: the package's constructor for a matrix it has formed, which
+        checks T and the heights once, with no work per block beyond its
+        slice.  T stays writable; the frame holds a read-only view of it."""
+        F = cls.__new__(cls)
+        object.__setattr__(F, "hilbert_dim", np.shape(T)[1])
+        F._hold(T, tuple(dims))
+        return F
+
+    def _hold(self, T, dims: tuple) -> None:
+        """Store T (checked by as_cmatrix, C-contiguous and read through a
+        read-only view), its heights and its row blocks."""
+        T = np.ascontiguousarray(as_cmatrix(T)).view()
+        T.flags.writeable = False
+        m, n = T.shape
+        if n < 1 or not dims or min(dims) < 1 or sum(dims) != m:
+            raise ShapeMismatch(f"block heights do not tile the {m} x {n} matrix")
+        object.__setattr__(self, "matrix", T)
+        object.__setattr__(self, "block_dims", dims)
+        object.__setattr__(self, "blocks", _row_blocks(T, dims))
 
     @property
     def total_dim(self):
@@ -230,7 +248,7 @@ def _times_inverse_root(F: GFrame, k: int) -> GFrame:
     result itself does not."""
     s, Vh, U = F.spectrum
     R = U @ (s[:, None] ** float(1 - k) * Vh)
-    return GFrame(F.hilbert_dim, _row_blocks(R, F.block_dims))
+    return GFrame._from_matrix(R, F.block_dims)
 
 
 _SQRT_MAX = float(np.sqrt(np.finfo(np.float64).max))
@@ -384,7 +402,7 @@ def make_gon_basis(n: int, dims, rotation=None) -> GFrame:
         if U.shape[0] != n:
             raise DimensionMismatch("rotation size does not match hilbert_dim")
         U = U.copy()
-    return GFrame(n, _row_blocks(U, dims))
+    return GFrame._from_matrix(U, dims)
 
 
 def make_griesz(gon: GFrame, X) -> GFrame:
@@ -399,4 +417,4 @@ def make_griesz(gon: GFrame, X) -> GFrame:
     s = np.linalg.svd(A, compute_uv=False)
     if not _spectral_rules(s, gon.hilbert_dim)[1]:
         raise Singular(f"condition number {s[0] / max(s[-1], 1e-300):.3e} too large")
-    return GFrame(gon.hilbert_dim, _row_blocks(gon.matrix @ A, gon.block_dims))
+    return GFrame._from_matrix(gon.matrix @ A, gon.block_dims)

@@ -51,6 +51,13 @@ def fro(M) -> float:
     return float(np.linalg.norm(M, "fro"))
 
 
+def block_norms(M, dims) -> np.ndarray:
+    """Frobenius norms of the consecutive row blocks of M with heights
+    `dims`, through hypot, which cannot overflow."""
+    starts = np.cumsum((0,) + tuple(dims[:-1]))
+    return np.hypot.reduceat(np.hypot.reduce(np.abs(M), axis=1), starts)
+
+
 def opnorm(M) -> float:
     """Largest singular value."""
     if min(M.shape) == 0:

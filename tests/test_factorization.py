@@ -16,7 +16,7 @@ import pytest
 
 import gframes as gf
 from gframes import duality, frame_io, frames, perturbation
-from gframes.errors import NonFinite, NotOnBasis, Singular
+from gframes.errors import NonFinite, NotOnBasis, ShapeMismatch, Singular
 from gframes.linalg import TOL_EQ, TOL_PD, TOL_RANK, fro, random_unitary
 
 from conftest import (
@@ -134,6 +134,51 @@ class TestStoredMatrix:
                  frame_io.parse_spec(frame_io.serialize(F))[0]]
         for G in built:
             assert all(np.shares_memory(B, G.matrix) for B in G.blocks)
+
+    def test_package_constructors_check_the_matrix_once(self, rng, monkeypatch):
+        """Every frame the package forms comes from GFrame._from_matrix,
+        never through the per-block checks of GFrame(n, blocks): a
+        read-only, C-contiguous matrix, its row views as blocks and the
+        stored heights."""
+        from gframes import coherent
+        F = gf.GFrame(4, tuple(rng.standard_normal((2, 4)) for _ in range(4)))
+        gon = random_gon(rng, 4, (2, 2))
+        riesz = gf.make_griesz(gon, np.diag([1.0, 2.0, 3.0, 4.0]) + 0j)
+        text = frame_io.serialize(F)
+        polar, build_fock = [], coherent.build_fock
+        monkeypatch.setattr(coherent, "build_fock",
+                            lambda G, tol_eq: polar.append(G) or build_fock(G, tol_eq))
+
+        def refuse(self):
+            raise AssertionError("a package constructor ran the per-block checks")
+
+        monkeypatch.setattr(gf.GFrame, "__post_init__", refuse)
+        coherent.bicoherent_family(riesz, 1e-6, 2e-6)
+        built = [gf.canonical_dual(F), gf.parseval_transform(F),
+                 duality.construct_alternate_dual(F, np.ones(4)),
+                 gf.make_gon_basis(4, (3, 1)), gf.make_griesz(gon, 2.0 * np.eye(4)),
+                 frame_io.parse_spec(text)[0], polar[0]]
+        for G in built:
+            assert G.matrix.flags.c_contiguous and not G.matrix.flags.writeable
+            assert type(G.block_dims) is tuple
+            assert G.block_dims == tuple(B.shape[0] for B in G.blocks)
+            assert all(np.shares_memory(B, G.matrix) for B in G.blocks)
+            np.testing.assert_array_equal(np.vstack(G.blocks), G.matrix)
+
+    def test_from_matrix_checks_the_matrix_and_heights(self, rng):
+        T = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+        F = gf.GFrame._from_matrix(T, (2, 3))
+        assert F.hilbert_dim == 3 and F.block_dims == (2, 3)
+        # the frame reads T through a read-only view; T stays the caller's
+        assert np.shares_memory(F.matrix, T) and T.flags.writeable
+        with pytest.raises(ValueError):
+            F.matrix[0, 0] = 1.0
+        for dims in [(2, 2), (2, 4), (5, 0), (6, -1), ()]:
+            with pytest.raises(ShapeMismatch):
+                gf.GFrame._from_matrix(T, dims)
+        T[1, 2] = np.inf
+        with pytest.raises(NonFinite):
+            gf.GFrame._from_matrix(T, (5,))
 
     def test_cache_holds_the_three_factors(self, rng):
         """The cache is (sigma, V†, U) of one thin SVD, read-only, and the
@@ -331,14 +376,14 @@ class TestDualFactorIsTheFrames:
         assert peak <= formed + m * n * 16 // 4
 
     def test_similarity_rejects_a_dual_off_the_range(self, kappa):
-        """A dual plus a term outside F's range of 1e-6 times its norm,
-        keeping the stored factor of the exact dual, passes the range test
-        but is not F X: the blockwise verification rejects it."""
+        """The exact dual is similar to F at every kappa, since the
+        blockwise rule allows the 16 eps cond(T) that its X carries.  A dual
+        plus a term outside F's range of 1e-6 times its norm, keeping the
+        stored factor of the exact dual, passes the range test but is not
+        F X: the blockwise verification rejects it."""
         F = conditioned_frame(kappa)
         D = gf.canonical_dual(F)
-        if kappa <= 1e5:
-            # at 9e5 the exact dual fails the blockwise rule as well
-            assert duality.check_similar(D, F) is not None
+        assert duality.check_similar(D, F) is not None
         size = 1e-6 * np.linalg.norm(D.matrix)
         term = size * np.outer(duality.kernel_vector(F), np.ones(16) / 4)
         Dp = gf.GFrame(16, frames._row_blocks(D.matrix + term, D.block_dims))

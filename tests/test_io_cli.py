@@ -1,3 +1,5 @@
+import copy
+import gc
 import json
 import os
 import re
@@ -5,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -51,6 +54,35 @@ def doc_for(frame, metadata=None):
 def compact(doc):
     """The text the writers produce for doc: compact JSON, sorted keys."""
     return json.dumps(doc, separators=(",", ":"), sort_keys=True) + "\n"
+
+
+def block_doc(F, metadata=None):
+    """The document of F as json.dumps would be given it."""
+    doc = {"hilbert_dim": F.hilbert_dim,
+           "blocks": [{"rows": B.shape[0],
+                       "matrix": np.stack([B.real, B.imag], -1).tolist()}
+                      for B in F.blocks]}
+    if metadata:
+        doc["metadata"] = metadata
+    return doc
+
+
+# one-point corruptions of a valid spec: an entry replaced by a literal,
+# a short row, a wrong row count and an unknown block field
+BAD_LITERALS = ["true", '"1"', "[1,0,0]", "NaN", "1e400"]
+CORRUPTIONS = BAD_LITERALS + ["short row", "rows", "unknown field"]
+
+
+@pytest.fixture(scope="module")
+def tall():
+    """A seeded 512 x 256 frame in blocks of 1-4 rows, and its document
+    written by json.dumps."""
+    rng = np.random.default_rng(512)
+    dims = []
+    while sum(dims) < 512:
+        dims.append(min(int(rng.integers(1, 5)), 512 - sum(dims)))
+    F = random_frame(rng, 256, dims)
+    return F, compact(block_doc(F, {"name": "tall"}))
 
 
 def fresh_python(code, *args):
@@ -259,6 +291,106 @@ class TestParseSpec:
             assert frame_io.serialize(G, meta) == written
 
 
+class TestOnePassReader:
+    """parse_spec reads every block's entries into one matrix, in runs; the
+    per-block reader (frame_io._read_blocks) runs only when that fails, and
+    so names the document's first error."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(CORRUPTIONS), st.data())
+    def test_agrees_with_the_per_block_reader(self, seed, corruption, data):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 5))
+        # mostly one-row blocks, as an ordinary frame has
+        dims = [1 if rng.random() < 0.9 else int(rng.integers(2, 4))
+                for _ in range(int(rng.integers(1, 400)))]
+        T = rng.standard_normal((sum(dims), n)) + 1j * rng.standard_normal((sum(dims), n))
+        T[rng.random(T.shape) < 0.1] = -0.0
+        F = gf.GFrame(n, tuple(np.split(T, np.cumsum(dims)[:-1])))
+        doc = block_doc(F)
+        # some entries as JSON integers, which read exactly
+        for blk in doc["blocks"]:
+            if rng.random() < 0.1:
+                blk["matrix"][0][0] = [int(rng.integers(-9, 9)), 2 ** 60]
+        good = json.dumps(doc)
+        with mock.patch.object(frame_io, "_read_blocks",
+                               side_effect=AssertionError("per-block reader ran")):
+            G, _ = frame_io.parse_spec(good)
+        expected = json.loads(good)
+        want = np.array([e for b in expected["blocks"] for row in b["matrix"] for e in row],
+                        dtype=np.float64).view(np.complex128).reshape(T.shape)
+        assert G.matrix.tobytes() == want.tobytes()
+        assert G.block_dims == tuple(dims)
+        assert all(np.shares_memory(B, G.matrix) for B in G.blocks)
+
+        j = data.draw(st.integers(0, len(dims) - 1), label="block")
+        r = data.draw(st.integers(0, dims[j] - 1), label="row")
+        c = data.draw(st.integers(0, n - 1), label="entry")
+        bad = copy.deepcopy(doc)
+        blk = bad["blocks"][j]
+        if corruption in BAD_LITERALS:
+            blk["matrix"][r][c] = "@@"
+        elif corruption == "short row":
+            del blk["matrix"][r][-1]
+        elif corruption == "rows":
+            blk["rows"] += data.draw(st.sampled_from([-1, 1]), label="rows")
+        else:
+            blk["extra"] = 0
+        text = json.dumps(bad).replace('"@@"', corruption)
+        with pytest.raises(SchemaError) as read:
+            frame_io.parse_spec(text)
+        with pytest.raises(SchemaError) as oracle:
+            frame_io._read_blocks(json.loads(text)["blocks"], n)
+        assert str(read.value) == str(oracle.value)
+        assert str(read.value).startswith(f"blocks[{j}]")
+
+    @pytest.mark.parametrize("run", [1, 7, 64, 4096])
+    def test_runs_write_and_read_the_same_text(self, run, rng, monkeypatch):
+        """Runs of any size over blocks of mixed heights, down to one block
+        per run, write json.dumps's text and read it back bit for bit."""
+        dims = tuple(int(d) for d in rng.integers(1, 4, size=120))
+        F = random_frame(rng, 3, dims)
+        F = F.map_blocks(lambda B: np.where(np.abs(B) < 0.05, -0.0, B))
+        monkeypatch.setattr(frame_io, "_RUN", run)
+        text = frame_io.serialize(F, {"name": "runs"})
+        assert text == compact(block_doc(F, {"name": "runs"}))
+        G, meta = frame_io.parse_spec(text)
+        assert G.matrix.tobytes() == F.matrix.tobytes()
+        assert G.block_dims == dims and meta == {"name": "runs"}
+
+    def test_peak_is_the_document_and_the_matrix(self, tall):
+        """Reading holds the document, T and one run: within two m x n
+        complex arrays of json.loads's own peak on the same text."""
+        F, text = tall
+        m, n = F.matrix.shape
+        loads_peak, _ = traced_peak(lambda: json.loads(text))
+        peak, (G, _) = traced_peak(lambda: frame_io.parse_spec(text))
+        assert G.matrix.tobytes() == F.matrix.tobytes()
+        assert peak <= loads_peak + 2 * m * n * 16
+
+    @pytest.mark.parametrize("text", [
+        '{"hilbert_dim": 1, "blocks": [{"rows": 1, "matrix": [[[1, 0]]]}]}',
+        '{"hilbert_dim": 1, "blocks": [{"rows": 1, "matrix": [[[1, true]]]}]}',
+        "{not json",
+    ], ids=["valid", "schema-error", "parse-error"])
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_collector_is_paused_then_left_as_found(self, text, enabled, monkeypatch):
+        loads, seen = json.loads, []
+        monkeypatch.setattr(json, "loads",
+                            lambda *a, **k: seen.append(gc.isenabled()) or loads(*a, **k))
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            try:
+                frame_io.parse_spec(text)
+            except (ParseError, SchemaError):
+                pass
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert seen == [False]
+
+
 class TestWriters:
     BAD_METADATA = [{"author": "x"}, {"name": 3}, {"description": None},
                     ["name"], {"name": object()}]
@@ -289,21 +421,6 @@ class TestWriters:
             frame_io.save(path, mercedes.map_blocks(lambda B: 2 * B),
                           {"name": object()})
         assert path.read_bytes() == before
-
-    @pytest.fixture(scope="class")
-    def tall(self):
-        """A seeded 512 x 256 frame in blocks of 1-4 rows, and its document
-        written by json.dumps."""
-        rng = np.random.default_rng(512)
-        dims = []
-        while sum(dims) < 512:
-            dims.append(min(int(rng.integers(1, 5)), 512 - sum(dims)))
-        F = random_frame(rng, 256, dims)
-        doc = {"hilbert_dim": 256, "metadata": {"name": "tall"},
-               "blocks": [{"rows": B.shape[0],
-                           "matrix": np.stack([B.real, B.imag], -1).tolist()}
-                          for B in F.blocks]}
-        return F, compact(doc)
 
     def test_serialize_holds_the_text_twice(self, tall):
         # the block texts and their join, plus one block's working set
