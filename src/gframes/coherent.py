@@ -34,10 +34,6 @@ class FockStructure:
     K: int                     # levels per block
     L: int                     # number of blocks
     basis_columns: np.ndarray  # n x (K*L); column l*K + k is t_k^(l)
-    source: GFrame
-
-    def column(self, k: int, l: int) -> np.ndarray:
-        return self.basis_columns[:, l * self.K + k]
 
 
 @dataclass(frozen=True)
@@ -167,7 +163,7 @@ def build_fock(gon: GFrame, tol_eq: float = TOL_EQ) -> FockStructure:
     L = len(dims)
     if not _is_on_basis(gon, tol_eq):
         raise NotOnBasis("build_fock requires an orthonormal operator basis")
-    return FockStructure(K=K, L=L, basis_columns=analysis(gon).conj().T, source=gon)
+    return FockStructure(K=K, L=L, basis_columns=analysis(gon).conj().T)
 
 
 def coherent_state(fs: FockStructure, z: complex, w: complex,
@@ -327,10 +323,12 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
 
     U_cols = T.conj().T
     P_cols = (Vh.conj().T / s) @ W.conj().T
-    # no product below needs the factors: the ladder products set the peak,
-    # with the family's own arrays and one shifted operand
+    # no product below needs the factors, nor the polar factor once X is
+    # formed: the ladder products set the peak, with the family's own
+    # arrays and one shifted operand
     del W, Vh
     X = U_cols @ polar   # T† W V† = V Σ V†
+    del polar, gon
     K, L = fs.K, fs.L
     # X a X^{-1} = U ã P† and X^{-1} a X = P ã U†, since X is Hermitian
     P_adj = P_cols.conj().T

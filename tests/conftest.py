@@ -59,6 +59,11 @@ def random_riesz(rng, n, dims, cond_max=10.0):
     return make_griesz(random_gon(rng, n, dims), X), X
 
 
+def fock_column(fs, k, l):
+    """The Fock column t_k^(l): column l*K + k of fs.basis_columns."""
+    return fs.basis_columns[:, l * fs.K + k]
+
+
 def lowered(columns, K, L, axis):
     """Oracle for a lowering map on a column family, from the indices alone:
     column l*K + k goes to sqrt(k) times column l*K + k-1 (axis "a"), or to

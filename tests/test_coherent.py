@@ -13,8 +13,8 @@ from gframes.errors import (
 )
 from gframes.linalg import TOL_EQ, fro, random_unitary
 
-from conftest import (dual_family, on_basis_cases, random_gon, random_riesz,
-                      traced_peak)
+from conftest import (dual_family, fock_column, on_basis_cases, random_gon,
+                      random_riesz, traced_peak)
 
 
 def series_oracle(fs, z, w):
@@ -23,13 +23,13 @@ def series_oracle(fs, z, w):
     for l in range(fs.L):
         for k in range(fs.K):
             v += (z ** k * w ** l / np.sqrt(factorial(k) * factorial(l))
-                  ) * fs.column(k, l)
+                  ) * fock_column(fs, k, l)
     return v / np.linalg.norm(v)
 
 
-def factorized_oracle(fs, z, w):
-    """Per-block form: sum_l w^l/sqrt(l!) theta_l† chi_l(z)."""
-    gon = fs.source
+def factorized_oracle(gon, fs, z, w):
+    """Per-block form: sum_l w^l/sqrt(l!) theta_l† chi_l(z) over the blocks
+    theta_l of gon, the basis that fs was built from."""
     v = np.zeros(fs.basis_columns.shape[0], dtype=complex)
     for l, B in enumerate(gon.blocks):
         chi = np.array([z ** k / np.sqrt(factorial(k)) for k in range(fs.K)])
@@ -62,7 +62,7 @@ class TestBuildFock:
         for _ in range(20):
             f = rng.standard_normal(6) + 1j * rng.standard_normal(6)
             for l, B in enumerate(gon.blocks):
-                coeffs = np.array([np.vdot(fs.column(k, l), f)
+                coeffs = np.array([np.vdot(fock_column(fs, k, l), f)
                                    for k in range(fs.K)])
                 np.testing.assert_allclose(B @ f, coeffs, atol=1e-10)
 
@@ -144,7 +144,7 @@ class TestCoherentState:
     def test_vacuum_is_first_column(self, rng):
         fs = gf.build_fock(random_gon(rng, 4, (2, 2)))
         st = gf.coherent_state(fs, 0, 0)
-        np.testing.assert_allclose(st.vector, fs.column(0, 0), atol=1e-14)
+        np.testing.assert_allclose(st.vector, fock_column(fs, 0, 0), atol=1e-14)
 
     def test_single_axis_series(self):
         fs = gf.build_fock(gf.make_gon_basis(30, tuple([30])))
@@ -156,12 +156,13 @@ class TestCoherentState:
         assert abs(np.linalg.norm(st.vector) - 1.0) <= 1e-10
 
     def test_matches_both_oracles(self, rng):
-        fs = gf.build_fock(random_gon(rng, 25, (5, 5, 5, 5, 5)))
+        gon = random_gon(rng, 25, (5, 5, 5, 5, 5))
+        fs = gf.build_fock(gon)
         for z, w in [(0.3, 0.2), (0.5j, -0.1), (0.4 - 0.2j, 0.3 + 0.1j)]:
             st = gf.coherent_state(fs, z, w, defect_max=1e-2)
             np.testing.assert_allclose(st.vector, series_oracle(fs, z, w),
                                        atol=1e-12)
-            np.testing.assert_allclose(st.vector, factorized_oracle(fs, z, w),
+            np.testing.assert_allclose(st.vector, factorized_oracle(gon, fs, z, w),
                                        atol=1e-12)
 
     def test_prenormalization_mass(self, rng):
@@ -186,9 +187,9 @@ class TestLadderOps:
         fs = gf.build_fock(random_gon(rng, 9, (3, 3, 3)))
         ops = gf.ladder_ops(fs)
         for l in range(fs.L):
-            assert np.linalg.norm(ops.a @ fs.column(0, l)) <= 1e-13
+            assert np.linalg.norm(ops.a @ fock_column(fs, 0, l)) <= 1e-13
         for k in range(fs.K):
-            assert np.linalg.norm(ops.b @ fs.column(k, 0)) <= 1e-13
+            assert np.linalg.norm(ops.b @ fock_column(fs, k, 0)) <= 1e-13
 
     def test_lowering_rule(self, rng):
         fs = gf.build_fock(random_gon(rng, 9, (3, 3, 3)))
@@ -196,13 +197,13 @@ class TestLadderOps:
         for l in range(fs.L):
             for k in range(1, fs.K):
                 np.testing.assert_allclose(
-                    ops.a @ fs.column(k, l),
-                    np.sqrt(k) * fs.column(k - 1, l), atol=1e-12)
+                    ops.a @ fock_column(fs, k, l),
+                    np.sqrt(k) * fock_column(fs, k - 1, l), atol=1e-12)
         for l in range(1, fs.L):
             for k in range(fs.K):
                 np.testing.assert_allclose(
-                    ops.b @ fs.column(k, l),
-                    np.sqrt(l) * fs.column(k, l - 1), atol=1e-12)
+                    ops.b @ fock_column(fs, k, l),
+                    np.sqrt(l) * fock_column(fs, k, l - 1), atol=1e-12)
 
     def test_commutation(self, rng):
         fs = gf.build_fock(random_gon(rng, 12, (4, 4, 4)))
@@ -214,7 +215,7 @@ class TestLadderOps:
         ops = gf.ladder_ops(fs)
         comm = ops.a @ ops.a.conj().T - ops.a.conj().T @ ops.a
         # restrict to levels k <= K-2; the top level violates CCR by design
-        cols = [fs.column(k, l) for l in range(fs.L) for k in range(fs.K - 1)]
+        cols = [fock_column(fs, k, l) for l in range(fs.L) for k in range(fs.K - 1)]
         P = np.array(cols).T
         assert fro(P.conj().T @ comm @ P - np.eye(len(cols))) <= 1e-12
 
@@ -525,8 +526,9 @@ class TestWorkingSet:
     def test_bicoherent_family(self, rng):
         riesz, _ = random_riesz(rng, self.N, (self.K,) * self.L, cond_max=3.0)
         peak, _ = traced_peak(lambda: gf.bicoherent_family(riesz, 0.3, 0.2))
-        # the nine arrays it returns and one shifted operand of a ladder product
-        assert peak <= 10.1 * self.UNIT
+        # the eight arrays it returns and one shifted operand of a ladder
+        # product: the polar factor is released once X is formed
+        assert peak <= 9.1 * self.UNIT
 
     def test_quadrature_identity(self, rng):
         fs = gf.build_fock(random_gon(rng, self.N, (self.K,) * self.L))

@@ -807,6 +807,78 @@ class TestCli:
         capsys.readouterr()
         assert formed == [2]
 
+    @pytest.mark.parametrize("command", ["alt-dual", "all"])
+    def test_numerical_failure_emits_no_file(self, command, mercedes_path,
+                                             tmp_path, capsys, monkeypatch):
+        """--emit writes once the suite has reached its report: when the
+        alternate dual fails with exit 3, `all` does not leave the canonical
+        dual it had already formed on disk."""
+        from gframes import duality
+        from gframes.errors import NotADual
+
+        def fail(*args, **kwargs):
+            raise NotADual("G does not reconstruct against F")
+
+        monkeypatch.setattr(duality, "construct_alternate_dual", fail)
+        out = tmp_path / "emitted.frame"
+        assert cli.main([command, mercedes_path, "--emit", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err)["error"] == "NotADual"
+        assert not out.exists()
+
+    # the checks of each subcommand in report order, with the tolerance each
+    # reports at the default --tol (1e-10) and at --tol 1e-6: the table's
+    # thresholds, --tol for dual_pair and gram_distinguishes_canonical, and
+    # max(--tol, TOL_FLOOR) for alternate_dual_reconstruction
+    CLASSIFY_CHECKS = [("frame_inequality_sampling", 1e-9, 1e-9)]
+    DUAL_CHECKS = [("dual_pair", 1e-10, 1e-6), ("reciprocal_bounds", 1e-8, 1e-8)]
+    ALT_DUAL_CHECKS = [("alternate_dual_reconstruction", 1e-9, 1e-6),
+                       ("differs_from_canonical", 1e-6, 1e-6),
+                       ("canonical_minimality", 1e-10, 1e-10),
+                       ("gram_distinguishes_canonical", 1e-10, 1e-6)]
+    PERTURB_CHECKS = [("m_opt_dominates_sampling", 1e-8, 1e-8),
+                      ("guaranteed_lower_bound", 1e-9, 1e-9)]
+    COHERENT_CHECKS = [("quadrature_identity", 1e-10, 1e-10),
+                       ("eigen_relation_a", 1e-8, 1e-8),
+                       ("eigen_relation_b", 1e-8, 1e-8),
+                       ("uncertainty_a", 1e-6, 1e-6),
+                       ("uncertainty_b", 1e-6, 1e-6)]
+
+    @pytest.mark.parametrize("tol", [None, "1e-6"])
+    @pytest.mark.parametrize("argv, expected", [
+        (["classify", "mercedes"], CLASSIFY_CHECKS),
+        (["dual", "mercedes"], DUAL_CHECKS),
+        (["alt-dual", "mercedes"], ALT_DUAL_CHECKS),
+        (["all", "mercedes"], CLASSIFY_CHECKS + DUAL_CHECKS + ALT_DUAL_CHECKS),
+        (["all", "gon"], CLASSIFY_CHECKS + DUAL_CHECKS),
+        (["all", "conditioned"], CLASSIFY_CHECKS + DUAL_CHECKS + ALT_DUAL_CHECKS),
+        (["perturb", "mercedes", "mercedes"], PERTURB_CHECKS),
+        (["coherent", "gon", "--check", "identity", "--check", "eigen",
+          "--check", "uncertainty"], COHERENT_CHECKS),
+    ])
+    def test_check_names_and_tolerances(self, argv, expected, tol, mercedes_path,
+                                        gon_path, tmp_path, capsys):
+        """The decision checks report 0.0 when they pass and 1.0 when they
+        fail, and gram_distinguishes_canonical 0.0 either way: on the
+        cond(T) = 1e5 frame it fails with 0.0."""
+        conditioned = tmp_path / "conditioned.frame"
+        frame_io.save(conditioned, conditioned_frame(1e5))
+        paths = {"mercedes": mercedes_path, "gon": gon_path,
+                 "conditioned": str(conditioned)}
+        extra = ["--tol", tol] if tol else []
+        code = cli.main([paths.get(a, a) for a in argv] + extra)
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        column = 2 if tol else 1
+        assert [(c["name"], c["tolerance"]) for c in checks] == [
+            (row[0], row[column]) for row in expected]
+        assert code == (0 if all(c["pass"] for c in checks) else 1)
+        for c in checks:
+            if c["name"] in ("dual_pair", "alternate_dual_reconstruction"):
+                assert c["measured"] == (0.0 if c["pass"] else 1.0)
+            if c["name"] == "gram_distinguishes_canonical":
+                assert c["measured"] == 0.0
+                assert c["pass"] == (argv[1] != "conditioned")
+
     def test_classify_at_1e100_matches_unscaled(self, tmp_path, capsys):
         """A random 3-block (2 x 4) complex frame scaled by 1e100 gets the
         flags it has at scale 1; its block Grams no longer overflow into a
