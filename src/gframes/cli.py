@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, frame_io, frames
 from .errors import GFrameError, ParseError, SchemaError, ShapeMismatch, UsageError
-from .linalg import TOL_EQ, TOL_FLOOR, block_norms, fro, random_units, sample_units
+from .linalg import TOL_EQ, TOL_FLOOR, block_norms, fro, random_units, sampled_max
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -78,17 +78,6 @@ def _energies(T, F):
     return np.sum(np.abs(T @ F) ** 2, axis=0)
 
 
-def _worst(rng, n, samples, excess):
-    """Largest violation of a sampled inequality over `samples` random unit
-    vectors of C^n, 0 when none is violated.  `excess(F)` gives the
-    violations at the columns of one block F of sample_units, so the memory
-    is one block's whatever the sample count."""
-    worst = 0.0
-    for F in sample_units(rng, n, samples):
-        worst = max(worst, float(np.max(excess(F))))
-    return worst
-
-
 def run_classify(args, doc, frame):
     cls = frames.classify(frame, tol_eq=args.tol)
     bounds = frames.frame_bounds(frame, tol_eq=args.tol)
@@ -100,8 +89,8 @@ def run_classify(args, doc, frame):
         e = _energies(T, F)
         return np.maximum(bounds.lower - e, e - bounds.upper)
 
-    _check(doc, "frame_inequality_sampling", _worst(
-        np.random.default_rng(args.seed), frame.hilbert_dim, args.samples, excess))
+    _check(doc, "frame_inequality_sampling", sampled_max(
+        np.random.default_rng(args.seed), frame.hilbert_dim, args.samples, excess)[0])
 
 
 def run_dual(args, doc, frame):
@@ -134,9 +123,9 @@ def run_alt_dual(args, doc, frame):
     Tcan, Talt = frames.analysis(can), frames.analysis(alt)
     _check(doc, "differs_from_canonical",
            block_norms(Talt - Tcan, frame.block_dims).max())
-    _check(doc, "canonical_minimality", _worst(
+    _check(doc, "canonical_minimality", sampled_max(
         rng, frame.hilbert_dim, args.samples,
-        lambda F: _energies(Tcan, F) - _energies(Talt, F)))
+        lambda F: _energies(Tcan, F) - _energies(Talt, F))[0])
     _record(doc, "gram_distinguishes_canonical",
             duality.gram_characterization(frame, can, alt)
             and not duality.gram_characterization(frame, alt, can),
@@ -167,8 +156,8 @@ def run_perturb(args, doc, frame, other):
         den = np.minimum(_energies(TF, F), _energies(TG, F))
         return _energies(D, F) - rep.m_opt * den
 
-    _check(doc, "m_opt_dominates_sampling", _worst(
-        np.random.default_rng(args.seed), frame.hilbert_dim, args.samples, excess))
+    _check(doc, "m_opt_dominates_sampling", sampled_max(
+        np.random.default_rng(args.seed), frame.hilbert_dim, args.samples, excess)[0])
     _check(doc, "guaranteed_lower_bound", rep.guaranteed_lower - rep.actual_lower)
 
 
@@ -212,14 +201,22 @@ def render_human(doc):
     return "\n".join(lines) + "\n"
 
 
-def emit(doc, args):
+def emit(doc, args, frame, name):
+    """Save `frame` to --emit, if both are given, then write the report to
+    --out or stdout.  --out is opened first, so a report that cannot be
+    written leaves no spec, and a spec that cannot be saved leaves stdout
+    empty."""
     text = render_human(doc) if args.human else json.dumps(
         doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    try:
+        if frame is not None and getattr(args, "emit", None):
+            kind = "alternate" if args.command == "alt-dual" else "canonical"
+            frame_io.save(args.emit, frame, {"name": f"{name}-{kind}-dual"})
+        fh.write(text)
+    finally:
+        if fh is not sys.stdout:
+            fh.close()
 
 
 def build_parser():
@@ -294,11 +291,8 @@ def main(argv=None) -> int:
         # for alt-dual, else the canonical dual (none for a non-frame).  It
         # is written only once the suite has run, so exit 3 writes no file
         out = suite[args.command](args, doc, *(F for F, _ in loaded))
-        if out is not None and getattr(args, "emit", None):
-            kind = "alternate" if args.command == "alt-dual" else "canonical"
-            frame_io.save(args.emit, out, {"name": f"{name}-{kind}-dual"})
         doc["status"] = "pass" if all(c["pass"] for c in doc["checks"]) else "fail"
-        emit(doc, args)
+        emit(doc, args, out, name)
     # the input-error classes subclass GFrameError, so they come first; a
     # ShapeMismatch here can only come from perturb's two incompatible specs
     except OSError as exc:

@@ -55,18 +55,6 @@ def _entry(value, where):
         raise SchemaError(f"{where}: integer entry exceeds binary64") from exc
 
 
-def _walk_block(mat, n, where) -> np.ndarray:
-    """Entry-by-entry read of a block; raises naming the first bad entry.
-    Each row's length is checked before its entries are read, so a huge n
-    fails as a short row rather than as an allocation."""
-    rows = []
-    for r, row in enumerate(mat):
-        if not isinstance(row, list) or len(row) != n:
-            raise SchemaError(f"{where}.matrix[{r}]: expected {n} entries")
-        rows.append([_entry(v, f"{where}.matrix[{r}][{c}]") for c, v in enumerate(row)])
-    return np.array(rows, dtype=np.complex128)
-
-
 def _block_matrix(blk, where) -> list:
     """The matrix field of one block object, once its structure checks out."""
     if not isinstance(blk, dict):
@@ -86,57 +74,74 @@ def _block_matrix(blk, where) -> list:
 
 
 def _read_block(blk, n, where) -> np.ndarray:
-    """One block object read whole, structure then entries."""
-    M = _walk_block(_block_matrix(blk, where), n, where)
-    # json.loads reads NaN, Infinity and overflowing literals as non-finite
-    # floats
+    """One block object read whole, structure then entry by entry; raises
+    naming the block's first error.  Each row's length is checked before
+    its entries are read, so a huge n fails as a short row rather than as
+    an allocation."""
+    rows = []
+    for r, row in enumerate(_block_matrix(blk, where)):
+        if not isinstance(row, list) or len(row) != n:
+            raise SchemaError(f"{where}.matrix[{r}]: expected {n} entries")
+        rows.append([_entry(v, f"{where}.matrix[{r}][{c}]") for c, v in enumerate(row)])
+    M = np.array(rows, dtype=np.complex128)
     if not np.isfinite(M).all():
         raise SchemaError(f"{where}: entries must be finite")
     return M
 
 
-def _read_blocks(blocks, n) -> tuple:
-    """The per-block reader: each block read whole, structure then entries,
-    so the first error in the document is the one raised."""
-    return tuple(_read_block(blk, n, f"blocks[{j}]") for j, blk in enumerate(blocks))
-
-
 def _read_matrix(blocks, n):
     """(T, dims): the entries of every block in one m x n array, with the
-    block heights, or None when anything is malformed (then `_read_blocks`
-    finds and names it).
+    block heights; raises SchemaError naming the document's first error.
 
-    The blocks' structure is checked, then every row's length, before T is
-    allocated, so a huge n fails as a short row rather than as an
-    allocation.  The entries are converted in runs of whole blocks, with
-    one length test, one type test and one np.array conversion per run,
-    and T gets one finite test."""
-    try:
-        mats = [_block_matrix(blk, f"blocks[{j}]") for j, blk in enumerate(blocks)]
+    The blocks' structure is checked, then every row's length, up to the
+    first block that fails them.  T is allocated for the blocks before it,
+    so a huge n fails as a short row rather than as an allocation.  Their
+    entries are converted in runs of whole blocks, with one length, type
+    and finite test and one np.array conversion per run.  A run that fails
+    a test is read again block by block, and so is the block that failed
+    the structure check: the first block _read_block rejects raises."""
+    mats = []
+    for j, blk in enumerate(blocks):
+        try:
+            mats.append(_block_matrix(blk, f"blocks[{j}]"))
+        except SchemaError:
+            break
+    rows = list(chain.from_iterable(mats))
+    if not (set(map(type, rows)) <= {list} and set(map(len, rows)) <= {n}):
+        # keep the blocks before the first with a bad row
+        for j, mat in enumerate(mats):
+            if not all(type(row) is list and len(row) == n for row in mat):
+                break
+        del mats[j:]
         rows = list(chain.from_iterable(mats))
-        if set(map(len, rows)) != {n}:
-            return None
-        dims = tuple(map(len, mats))
-        T = np.empty((len(rows), n), dtype=np.complex128)
-        # each contiguous (re, im) pair of the float view is one complex128
-        flat = T.reshape(-1).view(np.float64)
-        for _, _, a, b in _runs(dims, n):
-            entries = list(chain.from_iterable(rows[a:b]))
+    dims = tuple(map(len, mats))
+    # with no block kept, no row has n entries and n may be any size
+    T = np.empty((len(rows), n if rows else 0), dtype=np.complex128)
+    # each contiguous (re, im) pair of the float view is one complex128
+    flat = T.reshape(-1).view(np.float64)
+    for j, k, a, b in _runs(dims, n):
+        entries = list(chain.from_iterable(rows[a:b]))
+        try:
             numbers = list(chain.from_iterable(entries))
             # a JSON container that is not a list is a string or an object,
             # whose items are strings, so every wrong shape fails one of the
             # two tests; np.array converts bools and numeric strings, which
             # the exact type test refuses (bool is a subclass of int)
-            if (set(map(len, entries)) != {2}
-                    or not set(map(type, numbers)) <= {int, float}):
-                return None
-            flat[2 * n * a:2 * n * b] = np.array(numbers, dtype=np.float64)
-    except (SchemaError, TypeError, OverflowError):
-        return None
-    # json.loads reads NaN, Infinity and overflowing literals as non-finite
-    # floats
-    if not np.isfinite(flat).all():
-        return None
+            ok = (set(map(len, entries)) == {2}
+                  and set(map(type, numbers)) <= {int, float})
+            values = np.array(numbers, dtype=np.float64) if ok else None
+        except (TypeError, OverflowError):
+            # a number or null entry has no items or length, and an integer
+            # beyond binary64 does not convert
+            values = None
+        # json.loads reads NaN, Infinity and overflowing literals as
+        # non-finite floats
+        if values is None or not np.isfinite(values).all():
+            values = np.concatenate([_read_block(blocks[i], n, f"blocks[{i}]")
+                                     for i in range(j, k)]).view(np.float64)
+        flat[2 * n * a:2 * n * b] = values.ravel()
+    if len(mats) < len(blocks):     # the block that failed the structure check
+        _read_block(blocks[len(mats)], n, f"blocks[{len(mats)}]")
     return T, dims
 
 
@@ -157,13 +162,13 @@ def _metadata(metadata) -> dict:
 def parse_spec(text: str) -> tuple:
     """Parse a frame-spec document; returns (GFrame, metadata dict).
 
-    The entries are read into one matrix in runs; when that read fails, the
-    per-block reader runs from the start, so the first error in the
-    document is the one raised.  The read runs with the cyclic collector
-    paused, and the collector is left as the caller had it: a JSON document
-    holds no cycle, yet its lists set off hundreds of collections.  The
-    document is dropped before the collector resumes, so no collection
-    ever walks it."""
+    The entries are read into one matrix in runs; a run that fails is read
+    again block by block, so the first error in the document is the one
+    raised.  The read runs with the cyclic collector paused, and the
+    collector is left as the caller had it: a JSON document holds no
+    cycle, yet its lists set off hundreds of collections.  The document is
+    dropped before the collector resumes, so no collection ever walks
+    it."""
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -195,8 +200,7 @@ def _parse(text: str) -> tuple:
     if not isinstance(doc["blocks"], list) or not doc["blocks"]:
         raise SchemaError("blocks must be a nonempty array")
 
-    read = _read_matrix(doc["blocks"], n)
-    frame = GFrame._from_matrix(*read) if read else GFrame(n, _read_blocks(doc["blocks"], n))
+    frame = GFrame._from_matrix(*_read_matrix(doc["blocks"], n))
     return frame, _metadata(doc.get("metadata", {}))
 
 

@@ -109,6 +109,20 @@ def sample_units(rng: np.random.Generator, n: int, count: int):
         yield random_units(rng, n, min(SAMPLE_CHUNK, count - start))
 
 
+def sampled_max(rng: np.random.Generator, n: int, count: int, excess):
+    """(value, witness): the largest of `excess(F)` over the `count` unit
+    vectors of sample_units, floored at 0, and its first maximizer (None
+    when nothing exceeds 0).  `excess(F)` gives one value per column of a
+    block F, so the memory is one block's whatever the count."""
+    value, witness = 0.0, None
+    for F in sample_units(rng, n, count):
+        r = excess(F)
+        i = int(np.argmax(r))
+        if r[i] > value:
+            value, witness = float(r[i]), F[:, i].copy()
+    return value, witness
+
+
 def random_unitary(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar-ish unitary from the QR of a complex Ginibre matrix."""
     Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))

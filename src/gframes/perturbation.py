@@ -96,20 +96,6 @@ def one_sided_M(F: GFrame, G: GFrame):
     return m3, bF.lower / (2.0 * m3 + 2.0)
 
 
-def _sampled_premise(V: np.ndarray, n: float, samples: int, seed: int):
-    """Largest sampled ||f - Vf|| - n ||Vf|| over random unit f, floored at
-    0, with its first maximizer (None when nothing exceeds 0).  Each block
-    of samples is evaluated with one product."""
-    best, witness = 0.0, None
-    for F in linalg.sample_units(np.random.default_rng(seed), V.shape[0], samples):
-        VF = V @ F
-        r = np.linalg.norm(F - VF, axis=0) - n * np.linalg.norm(VF, axis=0)
-        i = int(np.argmax(r))
-        if r[i] > best:
-            best, witness = float(r[i]), F[:, i].copy()
-    return best, witness
-
-
 def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
                   samples: int = 10_000, seed: int = 0) -> GavrutaReport:
     """Verify the closeness premise ||f - Vf|| <= m ||f|| + n ||Vf|| for
@@ -135,21 +121,22 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
     bG = frame_bounds(G)
     B1, B2 = bF.upper, bG.upper
     V = TF.conj().T @ TG
-    I = np.eye(dim)
     norm_v = linalg.opnorm(V)
 
+    def excess(f):
+        Vf = V @ f
+        return np.linalg.norm(f - Vf, axis=0) - n * np.linalg.norm(Vf, axis=0)
+
     if n == 0.0:
-        m_measured = linalg.opnorm(I - V)
+        m_measured, witness = linalg.opnorm(np.eye(dim) - V), None
+        what = "sigma_max(I - V) ="
     else:
-        m_measured, witness = _sampled_premise(V, n, samples, seed)
-        if m_measured > m + linalg.TOL_FLOOR:
-            raise PremiseNotVerifiable(
-                f"sampled ratio {m_measured:.6e} exceeds m={m}", witness=witness
-            )
-    if n == 0.0 and m_measured > m + linalg.TOL_FLOOR:
-        raise PremiseNotVerifiable(
-            f"sigma_max(I - V) = {m_measured:.6e} exceeds m={m}"
-        )
+        m_measured, witness = linalg.sampled_max(
+            np.random.default_rng(seed), dim, samples, excess)
+        what = "sampled ratio"
+    if m_measured > m + linalg.TOL_FLOOR:
+        raise PremiseNotVerifiable(f"{what} {m_measured:.6e} exceeds m={m}",
+                                   witness=witness)
 
     guaranteed_theta = (1.0 / B1) * ((1.0 - m) / (1.0 + n)) ** 2
     guaranteed_lambda = (1.0 / B2) * (1.0 - m) ** 2 if n == 0.0 else None

@@ -293,8 +293,9 @@ class TestParseSpec:
 
 class TestOnePassReader:
     """parse_spec reads every block's entries into one matrix, in runs; the
-    per-block reader (frame_io._read_blocks) runs only when that fails, and
-    so names the document's first error."""
+    per-block reader (frame_io._read_block) reads only a run that fails, or
+    the block whose structure fails, and so names the document's first
+    error."""
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(CORRUPTIONS), st.data())
@@ -313,7 +314,7 @@ class TestOnePassReader:
             if rng.random() < 0.1:
                 blk["matrix"][0][0] = [int(rng.integers(-9, 9)), 2 ** 60]
         good = json.dumps(doc)
-        with mock.patch.object(frame_io, "_read_blocks",
+        with mock.patch.object(frame_io, "_read_block",
                                side_effect=AssertionError("per-block reader ran")):
             G, _ = frame_io.parse_spec(good)
         expected = json.loads(good)
@@ -340,9 +341,31 @@ class TestOnePassReader:
         with pytest.raises(SchemaError) as read:
             frame_io.parse_spec(text)
         with pytest.raises(SchemaError) as oracle:
-            frame_io._read_blocks(json.loads(text)["blocks"], n)
+            for i, blk in enumerate(json.loads(text)["blocks"]):
+                frame_io._read_block(blk, n, f"blocks[{i}]")
         assert str(read.value) == str(oracle.value)
         assert str(read.value).startswith(f"blocks[{j}]")
+
+    @pytest.mark.parametrize("corruption", ["[true,0]", "unknown field"])
+    def test_only_the_failing_run_is_read_block_by_block(self, corruption):
+        """A bad last block costs the per-block reader the blocks of the
+        last run at most, not every block of the document."""
+        n, count = 32, 400
+        rng = np.random.default_rng(400)
+        T = rng.standard_normal((count, n)) + 1j * rng.standard_normal((count, n))
+        doc = block_doc(gf.GFrame(n, tuple(np.split(T, count))))
+        if corruption == "unknown field":
+            doc["blocks"][-1]["extra"] = 0
+        else:
+            doc["blocks"][-1]["matrix"][0][5] = "@@"
+        text = json.dumps(doc).replace('"@@"', corruption)
+        *_, (j, k, _, _) = frame_io._runs((1,) * count, n)
+        assert 1 < k - j < count
+        with mock.patch.object(frame_io, "_read_block",
+                               wraps=frame_io._read_block) as read_block:
+            with pytest.raises(SchemaError, match=r"^blocks\[399\]"):
+                frame_io.parse_spec(text)
+        assert 1 <= read_block.call_count <= k - j
 
     @pytest.mark.parametrize("run", [1, 7, 64, 4096])
     def test_runs_write_and_read_the_same_text(self, run, rng, monkeypatch):
@@ -825,6 +848,16 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and json.loads(captured.err)["error"] == "NotADual"
         assert not out.exists()
+
+    def test_unwritable_out_leaves_no_spec(self, mercedes_path, tmp_path, capsys):
+        """--out is opened before the --emit spec is saved, so an --out that
+        cannot be opened leaves no spec behind."""
+        spec = tmp_path / "d.frame"
+        assert cli.main(["dual", mercedes_path, "--emit", str(spec),
+                         "--out", str(tmp_path / "missing" / "r.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err)["error"] == "io"
+        assert not spec.exists()
 
     # the checks of each subcommand in report order, with the tolerance each
     # reports at the default --tol (1e-10) and at --tol 1e-6: the table's
