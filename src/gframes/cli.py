@@ -202,21 +202,34 @@ def render_human(doc):
 
 
 def emit(doc, args, frame, name):
-    """Save `frame` to --emit, if both are given, then write the report to
-    --out or stdout.  --out is opened first, so a report that cannot be
-    written leaves no spec, and a spec that cannot be saved leaves stdout
-    empty."""
+    """Save `frame` to --emit, if both are given, and write the report to
+    --out or stdout.  The report goes to a temporary file beside --out that
+    replaces --out last, so a run that fails here leaves no spec and --out
+    as it was, and a spec that cannot be saved leaves stdout empty."""
     text = render_human(doc) if args.human else json.dumps(
         doc, indent=2, sort_keys=True) + "\n"
-    fh = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    spec = frame is not None and getattr(args, "emit", None)
+    partial = f"{args.out}.{os.getpid()}.tmp" if args.out else None
     try:
-        if frame is not None and getattr(args, "emit", None):
+        if partial:
+            with open(partial, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        if spec:
             kind = "alternate" if args.command == "alt-dual" else "canonical"
-            frame_io.save(args.emit, frame, {"name": f"{name}-{kind}-dual"})
-        fh.write(text)
+            frame_io.save(spec, frame, {"name": f"{name}-{kind}-dual"})
+        try:
+            if partial:
+                os.replace(partial, args.out)
+            else:
+                sys.stdout.write(text)
+        except OSError as exc:
+            if spec:
+                os.remove(spec)
+            # name --out, not the temporary file
+            raise OSError(exc.errno, exc.strerror, args.out) from exc
     finally:
-        if fh is not sys.stdout:
-            fh.close()
+        if partial and os.path.exists(partial):
+            os.remove(partial)
 
 
 def build_parser():

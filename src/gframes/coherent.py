@@ -26,7 +26,7 @@ from .errors import (
     TruncationTooSevere,
 )
 from .frames import GFrame, _is_on_basis, _spectral_rules, analysis
-from .linalg import TOL_EQ, TOL_FLOOR
+from .linalg import TOL_EQ
 
 
 @dataclass(frozen=True)
@@ -153,14 +153,17 @@ def coefficient_vector(z: complex, w: complex, K: int, L: int) -> np.ndarray:
     return norm * np.kron(beta, alpha)
 
 
+def _levels(dims) -> tuple:
+    """(K, L) for L blocks all of height K, else NonUniformBlocks."""
+    if len(set(dims)) != 1:
+        raise NonUniformBlocks(f"block dimensions {dims} are not uniform")
+    return dims[0], len(dims)
+
+
 def build_fock(gon: GFrame, tol_eq: float = TOL_EQ) -> FockStructure:
     """Arrange an orthonormal operator basis with uniform block dimension K
     into the two-index Fock column matrix."""
-    dims = gon.block_dims
-    if len(set(dims)) != 1:
-        raise NonUniformBlocks(f"block dimensions {dims} are not uniform")
-    K = dims[0]
-    L = len(dims)
+    K, L = _levels(gon.block_dims)
     if not _is_on_basis(gon, tol_eq):
         raise NotOnBasis("build_fock requires an orthonormal operator basis")
     return FockStructure(K=K, L=L, basis_columns=analysis(gon).conj().T)
@@ -193,13 +196,18 @@ def _lower(M: np.ndarray, K: int, L: int, axis: str) -> np.ndarray:
     return out
 
 
+def _ladders(columns: np.ndarray, adjoint: np.ndarray, K: int, L: int) -> LadderPair:
+    """The pair (columns ã) adjoint and (columns b̃) adjoint, forming one
+    shifted operand at a time: the ladder operators on C and C†."""
+    return LadderPair(a=_lower(columns, K, L, "a") @ adjoint,
+                      b=_lower(columns, K, L, "b") @ adjoint)
+
+
 def ladder_ops(fs: FockStructure) -> LadderPair:
     """Commuting lowering pair acting on the ambient space, built columnwise
     from sqrt(k) and sqrt(l) shifts on the Fock columns."""
     C = fs.basis_columns
-    Cd = C.conj().T
-    return LadderPair(a=_lower(C, fs.K, fs.L, "a") @ Cd,
-                      b=_lower(C, fs.K, fs.L, "b") @ Cd)
+    return _ladders(C, C.conj().T, fs.K, fs.L)
 
 
 def _radial_angular_gram(m: int, radial_nodes: int, angular_nodes: int) -> np.ndarray:
@@ -300,60 +308,39 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
     similarity factor is the Hermitian square root X = V Σ V† of the frame
     operator (polar choice, unitary part fixed to the identity), and the
     underlying orthonormal basis is T X^{-1} = W V†, the polar factor of T,
-    orthonormal to round-off however ill-conditioned T is.  With C = V W†,
-    the Riesz columns are X C = T† and the dual and inverse-factor columns
-    S^{-1} X C and X^{-1} C are both V Σ^{-1} W†, so the dual and "up"
-    states and operators collapse to one set.  The Riesz test is
-    `classify`'s, on the ratios of the singular values.
+    orthonormal to round-off however ill-conditioned T is, so its Fock
+    columns C = V W† need no check.  The Riesz columns are X C = T† and the
+    dual and inverse-factor columns S^{-1} X C and X^{-1} C are both
+    V Σ^{-1} W†, so the dual and "up" states and operators collapse to one
+    set.  The Riesz test is `classify`'s, on the ratios of the singular
+    values.
     """
     T = analysis(riesz)
     W, s, Vh = np.linalg.svd(T, full_matrices=False)
-    n = riesz.hilbert_dim
-    _, is_frame, rank = _spectral_rules(s, n)
+    _, is_frame, rank = _spectral_rules(s, riesz.hilbert_dim)
     if not (is_frame and rank == riesz.total_dim):
         raise NotRieszBasis("bicoherent_family requires a Riesz operator basis")
-    dims = riesz.block_dims
-    if len(set(dims)) != 1:
-        raise NonUniformBlocks(f"block dimensions {dims} are not uniform")
+    K, L = _levels(riesz.block_dims)
+    defect = _checked_defect(z, w, K, L, defect_max)
 
-    polar = W @ Vh
-    gon = GFrame._from_matrix(polar, dims)
-    fs = build_fock(gon, tol_eq=TOL_FLOOR)
-    defect = _checked_defect(z, w, fs.K, fs.L, defect_max)
-
+    C = (W @ Vh).conj().T
     U_cols = T.conj().T
     P_cols = (Vh.conj().T / s) @ W.conj().T
-    # no product below needs the factors, nor the polar factor once X is
-    # formed: the ladder products set the peak, with the family's own
-    # arrays and one shifted operand
+    # no product below needs the factors: the peak is the eight n x n
+    # arrays returned and one shifted operand of a ladder product
     del W, Vh
-    X = U_cols @ polar   # T† W V† = V Σ V†
-    del polar, gon
-    K, L = fs.K, fs.L
+    X = C @ T   # V W† W Σ V† = V Σ V†
     # X a X^{-1} = U ã P† and X^{-1} a X = P ã U†, since X is Hermitian
-    P_adj = P_cols.conj().T
-    a_riesz = _lower(U_cols, K, L, "a") @ P_adj
-    b_riesz = _lower(U_cols, K, L, "b") @ P_adj
-    del P_adj
-    a_up = _lower(P_cols, K, L, "a") @ T
-    b_up = _lower(P_cols, K, L, "b") @ T
+    riesz_ops = _ladders(U_cols, P_cols.conj().T, K, L)
+    up_ops = _ladders(P_cols, T, K, L)
 
     c = coefficient_vector(z, w, K, L)
     phi_up = P_cols @ c
     return BicoherentFamily(
-        phi=U_cols @ c,
-        phi_dual=phi_up,
-        phi_up=phi_up,
-        a_riesz=a_riesz,
-        a_dual=a_up,
-        a_up=a_up,
-        b_riesz=b_riesz,
-        b_dual=b_up,
-        b_up=b_up,
-        u_columns=U_cols,
-        v_columns=P_cols,
-        p_columns=P_cols,
-        x_factor=X,
-        fock=fs,
+        phi=U_cols @ c, phi_dual=phi_up, phi_up=phi_up,
+        a_riesz=riesz_ops.a, a_dual=up_ops.a, a_up=up_ops.a,
+        b_riesz=riesz_ops.b, b_dual=up_ops.b, b_up=up_ops.b,
+        u_columns=U_cols, v_columns=P_cols, p_columns=P_cols, x_factor=X,
+        fock=FockStructure(K=K, L=L, basis_columns=C),
         truncation_defect=defect,
     )

@@ -30,10 +30,9 @@ TOL_EQ = 1e-10
 # bases compared each carry their own round-off
 PROJECTOR_TOL = 1e-8
 # floor on the equality tolerance where the family tested carries the
-# round-off of a computation (an alternate dual, the polar factor of a Riesz
-# basis, the rotated orthonormal basis of the CLI's coherent suite), which a
-# tighter TOL_EQ would reject; also the slack gavruta_check allows the
-# measured premise constant over m
+# round-off of a computation (an alternate dual, the rotated orthonormal
+# basis of the CLI's coherent suite), which a tighter TOL_EQ would reject;
+# also the slack gavruta_check allows the measured premise constant over m
 TOL_FLOOR = 1e-9
 
 

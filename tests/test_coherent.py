@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy.special import factorial, gammainc, gammaincc, roots_laguerre
 
 import gframes as gf
-from gframes import coherent, frames
+from gframes import coherent, duality, frames
 from gframes.errors import (
     InsufficientNodes,
     NonUniformBlocks,
@@ -11,10 +12,10 @@ from gframes.errors import (
     NotRieszBasis,
     TruncationTooSevere,
 )
-from gframes.linalg import TOL_EQ, fro, random_unitary
+from gframes.linalg import TOL_EQ, fro, random_unitary, random_units
 
-from conftest import (dual_family, fock_column, on_basis_cases, random_gon,
-                      random_riesz, traced_peak)
+from conftest import (dual_family, fock_column, on_basis_cases, random_frame,
+                      random_gon, random_riesz, traced_peak)
 
 
 def series_oracle(fs, z, w):
@@ -312,6 +313,37 @@ class TestQuadratureIdentity:
         ref = left @ np.kron(Gw, Gz) @ right.conj().T
         assert np.max(np.abs(Q - ref)) <= 1e-14
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 6), st.integers(1, 6), st.data(),
+           st.integers(0, 2 ** 32 - 1))
+    def test_resolution_of_identity_over_any_dual_pair(self, K, L, data, seed):
+        # over the columns T_F† and T_G† the exact quadrature is T_F† T_G
+        # for any family G of F's shape, so it is I exactly when G is a
+        # dual of F: the canonical dual, an alternate one, and not the
+        # canonical dual plus a rank-one term inside F's range
+        assume(K * L > 1)
+        n = data.draw(st.integers(1, min(24, K * L - 1)))
+        rng = np.random.default_rng(seed)
+        F = random_frame(rng, n, (K,) * L)
+        TF = F.matrix
+
+        def quadrature(TG):
+            return coherent.pair_quadrature(TF.conj().T, TG.conj().T, K, L,
+                                            max(K, L), max(2 * K - 1, 2 * L - 1))
+
+        TG = rng.standard_normal((K * L, n)) + 1j * rng.standard_normal((K * L, n))
+        exact = TF.conj().T @ TG
+        assert fro(quadrature(TG) - exact) <= 1e-12 * fro(exact)
+        I = np.eye(n)
+        g0 = random_units(rng, n, 1)[:, 0]
+        duals = [gf.canonical_dual(F), duality.construct_alternate_dual(F, g0, seed)]
+        for G in duals:
+            assert fro(quadrature(G.matrix) - I) <= 1e-12 * fro(I)
+        # T_F† (T_D + T_F h g0†) = I + S h g0†, and ||S h|| >= A for unit h
+        h = random_units(rng, n, 1)[:, 0]
+        near = duals[0].matrix + np.outer(TF @ h, g0.conj())
+        assert fro(quadrature(near) - I) >= 0.5 * gf.frame_bounds(F).lower
+
 
 class TestUncertainty:
     def test_vacuum_exact(self, rng):
@@ -527,7 +559,7 @@ class TestWorkingSet:
         riesz, _ = random_riesz(rng, self.N, (self.K,) * self.L, cond_max=3.0)
         peak, _ = traced_peak(lambda: gf.bicoherent_family(riesz, 0.3, 0.2))
         # the eight arrays it returns and one shifted operand of a ladder
-        # product: the polar factor is released once X is formed
+        # product: W and V† are released before the first product
         assert peak <= 9.1 * self.UNIT
 
     def test_quadrature_identity(self, rng):

@@ -850,14 +850,46 @@ class TestCli:
         assert not out.exists()
 
     def test_unwritable_out_leaves_no_spec(self, mercedes_path, tmp_path, capsys):
-        """--out is opened before the --emit spec is saved, so an --out that
-        cannot be opened leaves no spec behind."""
+        """The report is written beside --out before the --emit spec is
+        saved, so an --out that cannot be written leaves no spec behind."""
         spec = tmp_path / "d.frame"
         assert cli.main(["dual", mercedes_path, "--emit", str(spec),
                          "--out", str(tmp_path / "missing" / "r.json")]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and json.loads(captured.err)["error"] == "io"
         assert not spec.exists()
+
+    def test_unwritable_emit_leaves_out_unchanged(self, mercedes_path, tmp_path, capsys):
+        """A spec that cannot be saved leaves an existing --out byte for byte
+        as it was, and no temporary file beside it."""
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        out = reports / "r.json"
+        assert cli.main(["all", mercedes_path, "--out", str(out)]) == 0
+        before = out.read_bytes()
+        assert cli.main(["all", mercedes_path, "--seed", "3", "--out", str(out),
+                         "--emit", str(tmp_path / "missing" / "d.frame")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and json.loads(captured.err)["error"] == "io"
+        assert out.read_bytes() == before
+        assert [p.name for p in reports.iterdir()] == ["r.json"]
+
+    def test_out_that_cannot_be_replaced_leaves_no_spec(self, mercedes_path,
+                                                         tmp_path, capsys):
+        """An --out that is a directory fails only at the last step, after
+        the spec is saved: the spec is removed again, no temporary file is
+        left, and the error names --out."""
+        out = tmp_path / "r.json"
+        out.mkdir()
+        spec = tmp_path / "d.frame"
+        assert cli.main(["dual", mercedes_path, "--emit", str(spec),
+                         "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert captured.out == "" and err["error"] == "io"
+        assert str(out) in err["detail"] and ".tmp" not in err["detail"]
+        assert not spec.exists() and list(out.iterdir()) == []
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["mercedes.frame", "r.json"]
 
     # the checks of each subcommand in report order, with the tolerance each
     # reports at the default --tol (1e-10) and at --tol 1e-6: the table's
