@@ -106,10 +106,18 @@ def tail_mass(m: int, x: float) -> float:
     return float(_poisson_tails(x, m + 1)[-1])
 
 
+def _intensity(z: complex) -> float:
+    """|z|^2, the Poisson mean of a label; inf where it overflows a float."""
+    try:
+        return abs(complex(z)) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def truncation_defect(z: complex, w: complex, K: int, L: int) -> float:
     """Exact discarded mass of the double series truncated at (K, L)."""
-    pz = 1.0 - tail_mass(K - 1, abs(z) ** 2)
-    pw = 1.0 - tail_mass(L - 1, abs(w) ** 2)
+    pz = 1.0 - tail_mass(K - 1, _intensity(z))
+    pw = 1.0 - tail_mass(L - 1, _intensity(w))
     return float(1.0 - pz * pw)
 
 
@@ -119,7 +127,7 @@ def required_truncation(z: complex, w: complex, defect_max: float):
         ok = np.flatnonzero(_poisson_tails(x, 99_999) <= defect_max / 2.0)
         return int(ok[0]) + 1 if ok.size else 100_000
 
-    return smallest(abs(z) ** 2), smallest(abs(w) ** 2)
+    return smallest(_intensity(z)), smallest(_intensity(w))
 
 
 def _checked_defect(z: complex, w: complex, K: int, L: int, defect_max: float) -> float:

@@ -29,9 +29,11 @@ def kernel_vector(F: GFrame, seed: int = 0) -> np.ndarray:
     if U.shape[1] >= m:
         raise IsRieszBasis("analysis operator is surjective; no kernel vector")
     rng = np.random.default_rng(seed)
-    v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-    for _ in range(2):
-        v -= U @ (U.conj().T @ v)
+    v = np.zeros(m)
+    while not np.any(v):   # a draw in the range projects to 0: take the next
+        v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+        for _ in range(2):
+            v -= U @ (U.conj().T @ v)
     v /= np.linalg.norm(v)
     idx = int(np.argmax(np.abs(v) > 1e-12))
     phase = v[idx] / abs(v[idx])

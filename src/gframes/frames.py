@@ -31,8 +31,6 @@ from .errors import (
 )
 from .linalg import TOL_EQ, TOL_PD, TOL_RANK, as_cmatrix, fro
 
-_ITEM = np.dtype(np.complex128).itemsize
-
 
 def _spectral_rules(s: np.ndarray, n: int) -> tuple:
     """(ratio2, is_frame, rank) from the singular values s (descending) of
@@ -53,39 +51,14 @@ def _row_blocks(T: np.ndarray, dims) -> tuple:
     return tuple(T[a:b] for a, b in zip([0] + ends[:-1], ends))
 
 
-def _tiled(blocks, n: int):
-    """The m x n matrix the blocks tile, as a read-only view, when they are
-    consecutive row slices of one C-contiguous complex array; else None.
-
-    Blocks that share one base tile a range of its buffer when each starts
-    where the previous one ends, so the view stays within that buffer and
-    keeps it alive."""
-    first = blocks[0]
-    base = first.base
-    if base is None and len(blocks) > 1:
-        return None
-    row = n * _ITEM
-    ptr = first.__array_interface__["data"][0]
-    for B in blocks:
-        if (B.base is not base or not B.flags.c_contiguous
-                or B.__array_interface__["data"][0] != ptr):
-            return None
-        ptr += B.shape[0] * row
-    m = sum(B.shape[0] for B in blocks)
-    return np.lib.stride_tricks.as_strided(first, shape=(m, n), strides=(row, _ITEM),
-                                           writeable=False)
-
-
 @dataclass(frozen=True, eq=False)
 class GFrame:
     """Ordered family of complex blocks, all with the same column count.
 
     `matrix` is the stacked analysis operator T; the blocks are read-only
-    row views of it, with heights `block_dims`.  Blocks that already are
-    consecutive row slices of one C-contiguous complex array U (`np.split`
-    of it, say) share U's memory; any others are stacked once.  U itself
-    stays writable, and a write to it changes the frame's entries but not a
-    spectrum already cached, so copy U before writing to it.
+    row views of it, with heights `block_dims`.  The given blocks are
+    stacked once into a T the frame owns, so a later write to them changes
+    neither the frame nor its cached spectrum.
 
     Frames compare and hash by identity."""
 
@@ -108,15 +81,7 @@ class GFrame:
                 raise ShapeMismatch(f"block {j} has {A.shape[1]} columns, expected {n}")
             if A.shape[0] < 1:
                 raise ShapeMismatch(f"block {j} has zero rows")
-        T = _tiled(blocks, n)
-        if T is None:
-            T = np.concatenate(blocks)
-        else:
-            # the caller's blocks share T's memory: a write through one
-            # would change a frame whose spectrum may already be cached
-            for A in blocks:
-                A.flags.writeable = False
-        self._hold(T, tuple(A.shape[0] for A in blocks))
+        self._hold(np.concatenate(blocks), tuple(A.shape[0] for A in blocks))
 
     @classmethod
     def _from_matrix(cls, T, dims) -> "GFrame":

@@ -96,16 +96,17 @@ def random_units(rng: np.random.Generator, n: int, count: int) -> np.ndarray:
     return (f / np.linalg.norm(f, axis=1, keepdims=True)).T
 
 
-# columns per block of sample_units: the memory of a sampling check is one
-# block's, whatever the sample count
-SAMPLE_CHUNK = 4096
+# entries per block of sample_units, 1 MiB of complex128: the memory of a
+# sampling check is one block's, whatever the sample count and dimension
+SAMPLE_CHUNK = 2 ** 16
 
 
 def sample_units(rng: np.random.Generator, n: int, count: int):
     """The `count` unit vectors of random_units(rng, n, count), from the same
-    draws of the stream, yielded as blocks of at most SAMPLE_CHUNK columns."""
-    for start in range(0, count, SAMPLE_CHUNK):
-        yield random_units(rng, n, min(SAMPLE_CHUNK, count - start))
+    draws, yielded in blocks of max(1, SAMPLE_CHUNK // n) columns."""
+    width = max(1, SAMPLE_CHUNK // n)
+    for start in range(0, count, width):
+        yield random_units(rng, n, min(width, count - start))
 
 
 def sampled_max(rng: np.random.Generator, n: int, count: int, excess):

@@ -34,6 +34,14 @@ class TestKernelVector:
             assert u[0].real > 0 and abs(u[0].imag) <= 1e-15
         assert np.linalg.norm(v[0] - v[1]) > 0.1
 
+    def test_draw_inside_the_range_is_replaced(self):
+        """A one-column frame drawn from the stream kernel_vector then draws
+        from: its first draw is T's column, which projects to exactly 0."""
+        F = random_frame(np.random.default_rng(1166), 1, (2,))
+        v = duality.kernel_vector(F, seed=1166)
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-12
+        assert np.linalg.norm(analysis(F).conj().T @ v) <= 1e-12
+
     def test_riesz_has_none(self, rng):
         F = random_gon(rng, 4, (2, 2))
         with pytest.raises(IsRieszBasis):

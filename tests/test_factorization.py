@@ -71,21 +71,14 @@ def classify_reference(F, tol_eq=TOL_EQ, tol_rank=TOL_RANK, tol_pd=TOL_PD):
 
 
 class TestStoredMatrix:
-    def test_split_blocks_share_the_array(self, rng):
-        T = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
-        for blocks in (np.split(T, [2, 5]), [T[0:3], T[3:4], T[4:9]], [T]):
-            F = gf.GFrame(4, tuple(blocks))
-            assert np.shares_memory(F.matrix, T)
-            np.testing.assert_array_equal(F.matrix, T)
-            assert all(np.shares_memory(B, T) for B in F.blocks)
-
-    def test_frame_of_frame_blocks_shares_the_matrix(self, rng):
-        F = gf.GFrame(4, tuple(rng.standard_normal((3, 4)) for _ in range(3)))
-        assert np.shares_memory(gf.GFrame(4, F.blocks).matrix, F.matrix)
-
     def test_other_blocks_are_stacked_once(self, rng):
+        """Whatever the blocks are, the frame stacks them once into a matrix
+        of its own."""
         T = rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6))
         cases = [
+            list(np.split(T, [2, 5])),      # consecutive slices of T
+            [T],                            # T itself
+            list(gf.GFrame._from_matrix(T, (4, 5)).blocks),  # another frame's
             [T[0:2], T[3:5]],               # a gap between the slices
             [T[3:5], T[0:3]],               # out of order
             list(np.split(T[:, ::2], 3)),   # not C-contiguous
@@ -95,6 +88,7 @@ class TestStoredMatrix:
         for blocks in cases:
             F = gf.GFrame(blocks[0].shape[1], tuple(blocks))
             assert not np.shares_memory(F.matrix, T)
+            assert not any(np.shares_memory(F.matrix, B) for B in blocks)
             np.testing.assert_array_equal(F.matrix, np.vstack(blocks))
             assert all(np.shares_memory(B, F.matrix) for B in F.blocks)
 
@@ -106,24 +100,23 @@ class TestStoredMatrix:
         with pytest.raises(ValueError):
             F.matrix[0, 0] = 1.0
 
-    def test_adopted_blocks_cannot_be_written(self, rng):
-        """The caller's blocks become read-only once a frame shares their
-        memory, so no write through them can leave the cached spectrum
-        stale; blocks that were copied stay writeable."""
-        T = rng.standard_normal((4, 2)) + 0j
+    def test_frame_owns_its_matrix(self, rng):
+        """The caller's arrays stay writable, and a write to them, after the
+        spectrum is cached, changes neither the frame nor its spectrum."""
+        T = rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2))
         parts = np.split(T, 2)
         F = gf.GFrame(2, tuple(parts))
-        assert np.shares_memory(F.matrix, T)
-        s = F.spectrum[0].copy()
+        before = F.matrix.copy()
+        spectrum = [A.copy() for A in F.spectrum]
+        T[0] *= 3.0
         for B in parts:
-            with pytest.raises(ValueError):
-                B[0, 0] = 5.0
-        np.testing.assert_array_equal(F.spectrum[0], s)
-        np.testing.assert_array_equal(
-            F.spectrum[0], np.linalg.svd(F.matrix, compute_uv=False))
-        copied = [T[0:2].copy(), T[2:4].copy()]
-        gf.GFrame(2, tuple(copied))
-        copied[0][0, 0] = 5.0
+            B[1, 1] = 5.0
+        np.testing.assert_array_equal(F.matrix, before)
+        np.testing.assert_array_equal(np.vstack(F.blocks), before)
+        U, s, Vh = np.linalg.svd(F.matrix, full_matrices=False)
+        for cached, kept, fresh in zip(F.spectrum, spectrum, (s, Vh, U)):
+            np.testing.assert_array_equal(cached, kept)
+            np.testing.assert_array_equal(cached, fresh)
 
     def test_constructors_return_views_of_one_matrix(self, rng, mercedes):
         F = gf.GFrame(4, tuple(rng.standard_normal((2, 4)) for _ in range(4)))

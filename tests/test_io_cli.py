@@ -14,8 +14,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import gframes as gf
-from gframes import cli, frame_io, frames, linalg
-from gframes.errors import ParseError, SchemaError
+from gframes import cli, coherent, frame_io, frames, linalg
+from gframes.errors import ParseError, SchemaError, TruncationTooSevere
 
 from conftest import conditioned_frame, count_inverse_roots, random_frame, traced_peak
 
@@ -542,6 +542,30 @@ class TestCli:
             code = cli.main(["coherent", gon_path, f"--z={label}"])
             self.assert_input_error(code, capsys, "ParseError")
 
+    @pytest.mark.parametrize("label", ["1e200", "1e308+1e308i", "1.5e308+1.5e308i"])
+    def test_huge_label_is_too_severe_a_truncation(self, label, gon_path, capsys):
+        """A finite label whose |z|^2 overflows a float needs more levels
+        than any truncation has, on either axis, with no warning: exit 3
+        through the CLI, as for --z=30."""
+        z = cli.parse_complex(label)
+        gon, _ = frame_io.load(gon_path)
+        fs = coherent.build_fock(gon)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for a, b in ((z, 0j), (0j, z)):
+                assert coherent.truncation_defect(a, b, 4, 4) == 1.0
+                assert max(coherent.required_truncation(a, b, 1e-8)) == 100_000
+                for build in (coherent.coherent_state, coherent.uncertainty_product):
+                    with pytest.raises(TruncationTooSevere):
+                        build(fs, a, b)
+                with pytest.raises(TruncationTooSevere):
+                    coherent.bicoherent_family(gon, a, b)
+            for check in ("eigen", "uncertainty"):
+                code = cli.main(["coherent", gon_path, f"--z={label}", "--check", check])
+                captured = capsys.readouterr()
+                assert code == 3 and captured.out == ""
+                assert json.loads(captured.err)["error"] == "TruncationTooSevere"
+
     def test_non_finite_spec_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "nan.frame"
         p.write_text('{"hilbert_dim": 1, "blocks": [{"rows": 1, "matrix": [[[NaN, 0]]]}]}')
@@ -595,10 +619,12 @@ class TestCli:
         assert rng.standard_normal() == ref.standard_normal()
 
     def test_sample_blocks_are_one_draw(self):
-        n, count = 3, 2 * linalg.SAMPLE_CHUNK + 7
+        n = 3
+        width = linalg.SAMPLE_CHUNK // n
+        count = 2 * width + 7
         rng = np.random.default_rng(4)
         blocks = list(linalg.sample_units(rng, n, count))
-        assert [B.shape[1] for B in blocks] == [linalg.SAMPLE_CHUNK] * 2 + [7]
+        assert [B.shape[1] for B in blocks] == [width] * 2 + [7]
         ref = np.random.default_rng(4)
         np.testing.assert_array_equal(np.hstack(blocks),
                                       linalg.random_units(ref, n, count))
@@ -630,13 +656,21 @@ class TestCli:
             assert code == 0, out
             return out, peak
 
-        count = 2 * linalg.SAMPLE_CHUNK + 7
-        _, one_block = run(linalg.SAMPLE_CHUNK)
+        width = linalg.SAMPLE_CHUNK // n
+        count = 2 * width + 7
+        _, one_block = run(width)
         chunked, peak = run(count)
         assert peak <= 1.1 * one_block
-        monkeypatch.setattr(linalg, "SAMPLE_CHUNK", count)
+        monkeypatch.setattr(linalg, "SAMPLE_CHUNK", count * n)
         unchunked, _ = run(count)
         assert chunked == unchunked
+
+    def test_sample_blocks_are_bounded_by_entries(self):
+        """A block holds at most SAMPLE_CHUNK entries whatever the dimension:
+        2000 samples at n = 512 would be 16 MB as one block."""
+        peak, _ = traced_peak(lambda: linalg.sampled_max(
+            np.random.default_rng(8), 512, 2000, lambda F: np.abs(F[0])))
+        assert peak < 8 * 2 ** 20
 
     def test_batched_energies_match_blockwise(self, rng):
         F = random_frame(rng, 4, (2, 1, 3))
