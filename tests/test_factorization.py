@@ -71,14 +71,30 @@ def classify_reference(F, tol_eq=TOL_EQ, tol_rank=TOL_RANK, tol_pd=TOL_PD):
 
 
 class TestStoredMatrix:
+    def test_split_blocks_share_the_array(self, rng):
+        """Consecutive slices of T are stacked into the frame's own copy of
+        T, and the frame's blocks are views of that one array."""
+        T = rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4))
+        for blocks in (np.split(T, [2, 5]), [T[0:3], T[3:4], T[4:9]], [T]):
+            F = gf.GFrame(4, tuple(blocks))
+            assert not np.shares_memory(F.matrix, T)
+            np.testing.assert_array_equal(F.matrix, T)
+            assert all(np.shares_memory(B, F.matrix) for B in F.blocks)
+
+    def test_frame_of_frame_blocks_shares_the_matrix(self, rng):
+        """A frame built from another frame's blocks holds an equal matrix
+        of its own, which its blocks share."""
+        F = gf.GFrame(4, tuple(rng.standard_normal((3, 4)) for _ in range(3)))
+        G = gf.GFrame(4, F.blocks)
+        assert not np.shares_memory(G.matrix, F.matrix)
+        np.testing.assert_array_equal(G.matrix, F.matrix)
+        assert all(np.shares_memory(B, G.matrix) for B in G.blocks)
+
     def test_other_blocks_are_stacked_once(self, rng):
         """Whatever the blocks are, the frame stacks them once into a matrix
         of its own."""
         T = rng.standard_normal((9, 6)) + 1j * rng.standard_normal((9, 6))
         cases = [
-            list(np.split(T, [2, 5])),      # consecutive slices of T
-            [T],                            # T itself
-            list(gf.GFrame._from_matrix(T, (4, 5)).blocks),  # another frame's
             [T[0:2], T[3:5]],               # a gap between the slices
             [T[3:5], T[0:3]],               # out of order
             list(np.split(T[:, ::2], 3)),   # not C-contiguous
