@@ -23,7 +23,6 @@ _EXPORTS = {
         "classify",
         "frame_bounds",
         "frame_operator",
-        "induce_vector_frame",
         "make_gon_basis",
         "make_griesz",
         "parseval_transform",

@@ -144,6 +144,29 @@ def _checked_defect(z: complex, w: complex, K: int, L: int, defect_max: float) -
     return defect
 
 
+def _checked_coefficients(z: complex, w: complex, K: int, L: int,
+                          defect_max: float) -> tuple:
+    """(c, ||c||, defect): coefficient_vector at (z, w) truncated at (K, L),
+    its norm and its checked defect.  A label can meet the budget and still
+    leave c with no finite, nonzero norm to normalize by: a budget of 1
+    passes labels whose Gaussian weight underflows or whose |z|^2
+    overflows.  Such labels raise TruncationTooSevere too."""
+    defect = _checked_defect(z, w, K, L, defect_max)
+    norm = 0.0
+    if math.isfinite(_intensity(z) + _intensity(w)):
+        with np.errstate(all="ignore"):
+            c = coefficient_vector(z, w, K, L)
+            norm = np.linalg.norm(c)
+    if not 0.0 < norm < math.inf:
+        kr, lr = required_truncation(z, w, defect_max)
+        raise TruncationTooSevere(
+            f"coefficients truncated at K = {K}, L = {L} have no finite, "
+            f"nonzero norm; need K >= {kr}, L >= {lr}",
+            required_k=kr, required_l=lr,
+        )
+    return c, norm, defect
+
+
 def _series_weights(z, m: int) -> np.ndarray:
     """Coefficients z^k / sqrt(k!) for k = 0..m-1, along a new last axis when
     z is an array, as the running product of the factors z / sqrt(k)."""
@@ -180,8 +203,7 @@ def build_fock(gon: GFrame, tol_eq: float = TOL_EQ) -> FockStructure:
 def coherent_state(fs: FockStructure, z: complex, w: complex,
                    defect_max: float = 1e-8) -> CoherentState:
     """Renormalized truncated coherent state at labels (z, w)."""
-    defect = _checked_defect(z, w, fs.K, fs.L, defect_max)
-    c = coefficient_vector(z, w, fs.K, fs.L)
+    c, _, defect = _checked_coefficients(z, w, fs.K, fs.L, defect_max)
     v = fs.basis_columns @ c
     v = v / np.linalg.norm(v)
     return CoherentState(z=complex(z), w=complex(w), vector=v,
@@ -284,11 +306,10 @@ def uncertainty_product(fs: FockStructure, z: complex, w: complex,
     """Uncertainty products (dq_a * dp_a, dq_b * dp_b) for the quadrature
     observables of the lowering pair, evaluated on the truncated state.
     Both converge to 1/2 as the defect vanishes."""
-    _checked_defect(z, w, fs.K, fs.L, defect_max)
     # the state is v = C c / ||C c||, and C is unitary to build_fock's
     # tol_eq, so C† v = c / ||c|| to that tolerance: no n-vector is formed
-    c = coefficient_vector(z, w, fs.K, fs.L)
-    c /= np.linalg.norm(c)
+    c, norm, _ = _checked_coefficients(z, w, fs.K, fs.L, defect_max)
+    c /= norm
     index = np.arange(fs.K * fs.L)
     power = np.abs(c) ** 2
 
@@ -329,7 +350,7 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
     if not (is_frame and rank == riesz.total_dim):
         raise NotRieszBasis("bicoherent_family requires a Riesz operator basis")
     K, L = _levels(riesz.block_dims)
-    defect = _checked_defect(z, w, K, L, defect_max)
+    c, _, defect = _checked_coefficients(z, w, K, L, defect_max)
 
     C = (W @ Vh).conj().T
     U_cols = T.conj().T
@@ -342,7 +363,6 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
     riesz_ops = _ladders(U_cols, P_cols.conj().T, K, L)
     up_ops = _ladders(P_cols, T, K, L)
 
-    c = coefficient_vector(z, w, K, L)
     phi_up = P_cols @ c
     return BicoherentFamily(
         phi=U_cols @ c, phi_dual=phi_up, phi_up=phi_up,

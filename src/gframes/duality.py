@@ -65,20 +65,21 @@ def construct_alternate_dual(F: GFrame, g0, seed: int = 0) -> GFrame:
 
 
 def check_similar(F: GFrame, G: GFrame):
-    """Invertible X with F_j = G_j X for all j, or None.
+    """X with F_j = G_j X for all j, or None.
 
     Two frames are similar exactly when their analysis operators have the
     same range; the range test measures the distance of the orthogonal
     projectors from orthonormal range bases.  X is then the least-squares
-    solution V_r Sigma_r^{-1} U_r† T_F, with the whitening W = V_r Sigma_r^{-1}
-    and the range basis U_r both from G's cached factor, plus one step of
-    refinement on the residual; it is verified blockwise on the matrices,
-    so the check stays real for a canonical dual, whose cached factor is
-    its frame's rather than its own.  The blockwise tolerance is
-    max(TOL_EQ, 16 eps cond(T_G)), with cond(T_G) from G's cached sigma: an
-    exact X carries W's round-off, about eps cond(T_G).  No product
-    squares Sigma or T, so neither can overflow or underflow where T itself
-    does not.
+    solution T_G^+ T_F, invertible when F is complete and zero on F's kernel
+    otherwise.  It is formed as V_r Sigma_r^{-1} U_r† T_F, with the
+    whitening W = V_r Sigma_r^{-1} and the range basis U_r both from G's
+    cached factor, plus one step of refinement on the residual; it is
+    verified blockwise on the matrices, so the check stays real for a
+    canonical dual, whose cached factor is its frame's rather than its
+    own.  The blockwise tolerance is max(TOL_EQ, 16 eps cond(T_G)), with
+    cond(T_G) from G's cached sigma: an exact X carries W's round-off,
+    about eps cond(T_G).  No product squares Sigma or T, so neither can
+    overflow or underflow where T itself does not.
     """
     if not F.same_shape(G):
         raise ShapeMismatch("similarity check needs identical block shapes")

@@ -15,7 +15,7 @@ The canonical dual is never factored: its SVD is F's, read in reverse.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -45,35 +45,27 @@ def _spectral_rules(s: np.ndarray, n: int) -> tuple:
     return ratio2, ratio2 > TOL_PD, int(np.sum(s > TOL_RANK * s[0]))
 
 
-def _row_blocks(T: np.ndarray, dims) -> tuple:
-    """Consecutive row slices of T with heights `dims`."""
-    ends = np.cumsum(dims).tolist()
-    return tuple(T[a:b] for a, b in zip([0] + ends[:-1], ends))
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class GFrame:
     """Ordered family of complex blocks, all with the same column count.
 
-    `matrix` is the stacked analysis operator T; the blocks are read-only
-    row views of it, with heights `block_dims`.  The given blocks are
-    stacked once into a T the frame owns, so a later write to them changes
-    neither the frame nor its cached spectrum.
+    It stores the stacked analysis operator T, read-only, as `matrix` and
+    the block heights as `block_dims`; `blocks` are row views of T made on
+    first read.  Given blocks are stacked into a T the frame owns, so later
+    writes to them change neither the frame nor its cached spectrum.
 
     Frames compare and hash by identity."""
 
-    hilbert_dim: int
-    blocks: tuple
-    matrix: np.ndarray = field(init=False, repr=False)
-    block_dims: tuple = field(init=False, repr=False)
+    matrix: np.ndarray
+    block_dims: tuple
 
-    def __post_init__(self):
-        n = self.hilbert_dim
+    def __init__(self, hilbert_dim: int, blocks):
+        n = hilbert_dim
         if n < 1:
             raise DimensionMismatch("hilbert_dim must be >= 1")
-        if not self.blocks:
+        if not blocks:
             raise DimensionMismatch("block list must be nonempty")
-        blocks = [np.asarray(B, dtype=np.complex128) for B in self.blocks]
+        blocks = [np.asarray(B, dtype=np.complex128) for B in blocks]
         for j, A in enumerate(blocks):
             if A.ndim != 2:
                 raise ValueError(f"expected a 2-d array, got ndim={A.ndim}")
@@ -87,16 +79,15 @@ class GFrame:
     def _from_matrix(cls, T, dims) -> "GFrame":
         """The frame whose analysis matrix is T, in blocks of heights
         `dims`: the package's constructor for a matrix it has formed, which
-        checks T and the heights once, with no work per block beyond its
-        slice.  T stays writable; the frame holds a read-only view of it."""
+        checks T and the heights once, with no work per block.  T stays
+        writable; the frame holds a read-only view of it."""
         F = cls.__new__(cls)
-        object.__setattr__(F, "hilbert_dim", np.shape(T)[1])
         F._hold(T, tuple(dims))
         return F
 
     def _hold(self, T, dims: tuple) -> None:
         """Store T (checked by as_cmatrix, C-contiguous and read through a
-        read-only view), its heights and its row blocks."""
+        read-only view) and its heights."""
         T = np.ascontiguousarray(as_cmatrix(T)).view()
         T.flags.writeable = False
         m, n = T.shape
@@ -104,7 +95,20 @@ class GFrame:
             raise ShapeMismatch(f"block heights do not tile the {m} x {n} matrix")
         object.__setattr__(self, "matrix", T)
         object.__setattr__(self, "block_dims", dims)
-        object.__setattr__(self, "blocks", _row_blocks(T, dims))
+
+    def __repr__(self):
+        return f"GFrame(hilbert_dim={self.hilbert_dim}, block_dims={self.block_dims})"
+
+    @property
+    def hilbert_dim(self) -> int:
+        """Dimension n of the ambient space C^n, the column count of T."""
+        return self.matrix.shape[1]
+
+    @cached_property
+    def blocks(self) -> tuple:
+        """The blocks Lambda_j, read-only row views of T."""
+        ends = np.cumsum(self.block_dims).tolist()
+        return tuple(self.matrix[a:b] for a, b in zip([0] + ends[:-1], ends))
 
     @property
     def total_dim(self):
@@ -346,12 +350,6 @@ def check_biorthogonal(F: GFrame, G: GFrame) -> bool:
     if F.total_dim > F.hilbert_dim:
         return False
     return _gram_rules(G.matrix, F.matrix, F.block_dims, TOL_EQ)[0]
-
-
-def induce_vector_frame(F: GFrame) -> list:
-    """The vectors Lambda_j† e_k, i.e. the conjugated rows of each block,
-    listed block by block.  Their ordinary-frame bounds equal frame_bounds(F)."""
-    return list(F.matrix.conj())
 
 
 def make_gon_basis(n: int, dims, rotation=None) -> GFrame:

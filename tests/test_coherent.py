@@ -182,6 +182,21 @@ class TestCoherentState:
                 build()
             assert exc.value.required_k > 10
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z", [30.0, 40.0, 1e200])
+    @pytest.mark.parametrize("build", ["coherent_state", "uncertainty_product",
+                                       "bicoherent_family"])
+    def test_unrepresentable_coefficients_are_too_severe(self, build, z):
+        """A budget of 1 passes every label.  The Gaussian weight underflows
+        at |z| = 30 and 40 and |z|^2 overflows at 1e200, so no normalized
+        state exists; the labels raise as an exceeded budget does."""
+        gon = gf.make_gon_basis(4, (2, 2))
+        arg = gon if build == "bicoherent_family" else gf.build_fock(gon)
+        with pytest.raises(TruncationTooSevere, match=r"need K >= \d+, L >= 1") as exc:
+            getattr(gf, build)(arg, z, 0.0, defect_max=1.0)
+        expected = coherent.required_truncation(z, 0.0, 1.0)
+        assert (exc.value.required_k, exc.value.required_l) == expected
+
 
 class TestLadderOps:
     def test_annihilates_vacuum_row(self, rng):

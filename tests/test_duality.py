@@ -110,6 +110,17 @@ class TestSimilarity:
         assert X is not None
         np.testing.assert_allclose(X, gf.frame_operator(F), atol=1e-8)
 
+    def test_incomplete_family_gets_a_singular_x(self):
+        """For a family that is not complete, X = T_G^+ T_F still maps G
+        onto F block by block, but has F's rank: it is not invertible."""
+        rng = np.random.default_rng(0)
+        T = rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4))
+        F = gf.GFrame(4, tuple(np.split(T, 3)))
+        X = duality.check_similar(F, F)
+        for B in F.blocks:
+            np.testing.assert_allclose(B @ X, B, atol=1e-12)
+        assert np.linalg.matrix_rank(X) == F.rank() == 2
+
     def test_different_range_returns_none(self, mercedes, rng):
         other = random_frame(rng, 2, (1, 1, 1))
         assert duality.check_similar(mercedes, other) is None

@@ -253,36 +253,6 @@ class TestDualPairAndBiorthogonality:
         assert not gf.check_biorthogonal(mercedes, gf.canonical_dual(mercedes))
 
 
-class TestInducedVectorFrame:
-    def test_coordinate_slicing_gives_standard_basis(self):
-        vs = gf.induce_vector_frame(coordinate_slicing())
-        np.testing.assert_allclose(np.array(vs), np.eye(4))
-
-    def test_mercedes_gives_mercedes_vectors(self, mercedes):
-        vs = gf.induce_vector_frame(mercedes)
-        for v, B in zip(vs, mercedes.blocks):
-            np.testing.assert_allclose(v, B[0].conj())
-
-    def test_bounds_match_operator_bounds(self, rng):
-        F = random_frame(rng, 5, (3, 2, 2))
-        vs = np.array(gf.induce_vector_frame(F))
-        # ordinary-frame operator of the induced vectors
-        S = sum(np.outer(v, v.conj()) for v in vs)
-        w = np.linalg.eigvalsh(S)
-        b = gf.frame_bounds(F)
-        assert abs(w[0] - b.lower) <= 1e-9
-        assert abs(w[-1] - b.upper) <= 1e-9
-
-    def test_dual_pair_reconstruction(self, rng):
-        F = random_frame(rng, 4, (2, 2, 2))
-        us = gf.induce_vector_frame(F)
-        vs = gf.induce_vector_frame(gf.canonical_dual(F))
-        for _ in range(100):
-            f = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-            rec = sum(np.vdot(u, f) * v for u, v in zip(us, vs))
-            assert np.linalg.norm(rec - f) <= 1e-9 * np.linalg.norm(f)
-
-
 class TestGenerators:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):

@@ -32,12 +32,11 @@ CLI_LAYER_MODULES = {
     "coherent": {"gframes.coherent", "numpy.polynomial"},
 }
 
-# the package's exported names, as `gframes` bound them when it imported
-# every layer eagerly
+# the package's exported names
 EXPORTED = sorted("""
     Classification FrameBounds GFrame analysis canonical_dual
     check_biorthogonal check_dual_pair classify frame_bounds frame_operator
-    induce_vector_frame make_gon_basis make_griesz parseval_transform
+    make_gon_basis make_griesz parseval_transform
     BicoherentFamily CoherentState FockStructure LadderPair bicoherent_family
     build_fock coherent_state ladder_ops quadrature_identity truncation_defect
     uncertainty_product
@@ -444,6 +443,17 @@ class TestWriters:
             frame_io.save(path, mercedes.map_blocks(lambda B: 2 * B),
                           {"name": object()})
         assert path.read_bytes() == before
+
+    @pytest.mark.parametrize("n", [np.int64(2), 2.0])
+    def test_integral_dims_of_any_type_are_written_and_read(self, n, tmp_path):
+        F = gf.GFrame(n, (np.eye(2), np.ones((1, 2))))
+        text = frame_io.serialize(F)
+        path = tmp_path / "f.frame"
+        frame_io.save(path, F)
+        assert path.read_text(encoding="utf-8") == text
+        G, _ = frame_io.load(path)
+        assert G.hilbert_dim == 2 and G.block_dims == (2, 1)
+        np.testing.assert_array_equal(G.matrix, F.matrix)
 
     def test_serialize_holds_the_text_twice(self, tall):
         # the block texts and their join, plus one block's working set
