@@ -130,41 +130,38 @@ def required_truncation(z: complex, w: complex, defect_max: float):
     return smallest(_intensity(z)), smallest(_intensity(w))
 
 
-def _checked_defect(z: complex, w: complex, K: int, L: int, defect_max: float) -> float:
-    """The truncation defect at (K, L), or TruncationTooSevere naming the
-    smallest truncation that meets defect_max when it exceeds it."""
-    defect = truncation_defect(z, w, K, L)
-    if defect > defect_max:
-        kr, lr = required_truncation(z, w, defect_max)
-        raise TruncationTooSevere(
-            f"defect {defect:.3e} exceeds {defect_max:.1e}; "
-            f"need K >= {kr}, L >= {lr}",
-            required_k=kr, required_l=lr,
-        )
-    return defect
-
-
 def _checked_coefficients(z: complex, w: complex, K: int, L: int,
                           defect_max: float) -> tuple:
-    """(c, ||c||, defect): coefficient_vector at (z, w) truncated at (K, L),
-    its norm and its checked defect.  A label can meet the budget and still
-    leave c with no finite, nonzero norm to normalize by: a budget of 1
-    passes labels whose Gaussian weight underflows or whose |z|^2
-    overflows.  Such labels raise TruncationTooSevere too."""
-    defect = _checked_defect(z, w, K, L, defect_max)
+    """(c, defect): coefficient_vector at (z, w) truncated at (K, L) and its
+    truncation defect, or TruncationTooSevere naming the smallest truncation
+    that meets defect_max.  A label is refused when its defect exceeds the
+    budget, and also when c has no finite, nonzero norm to normalize by: a
+    budget of 1 passes labels whose Gaussian weight underflows or whose
+    |z|^2 overflows."""
+    defect = truncation_defect(z, w, K, L)
     norm = 0.0
-    if math.isfinite(_intensity(z) + _intensity(w)):
+    if not defect > defect_max and math.isfinite(_intensity(z) + _intensity(w)):
         with np.errstate(all="ignore"):
             c = coefficient_vector(z, w, K, L)
             norm = np.linalg.norm(c)
     if not 0.0 < norm < math.inf:
         kr, lr = required_truncation(z, w, defect_max)
-        raise TruncationTooSevere(
-            f"coefficients truncated at K = {K}, L = {L} have no finite, "
-            f"nonzero norm; need K >= {kr}, L >= {lr}",
-            required_k=kr, required_l=lr,
-        )
-    return c, norm, defect
+        why = (f"defect {defect:.3e} exceeds {defect_max:.1e}"
+               if defect > defect_max else
+               f"coefficients truncated at K = {K}, L = {L} have no finite, "
+               f"nonzero norm")
+        raise TruncationTooSevere(f"{why}; need K >= {kr}, L >= {lr}",
+                                  required_k=kr, required_l=lr)
+    return c, defect
+
+
+def _unit(x: np.ndarray) -> np.ndarray:
+    """x / ||x||, with x first scaled by the power of two that brings its
+    largest entry into [1/2, 1), so that the sum of squares neither
+    underflows nor overflows.  The scaling is exact: wherever the plain
+    quotient is accurate, the result is the same bit for bit."""
+    x = x * math.ldexp(1.0, -math.frexp(float(np.max(np.abs(x))))[1])
+    return x / np.linalg.norm(x)
 
 
 def _series_weights(z, m: int) -> np.ndarray:
@@ -203,9 +200,8 @@ def build_fock(gon: GFrame, tol_eq: float = TOL_EQ) -> FockStructure:
 def coherent_state(fs: FockStructure, z: complex, w: complex,
                    defect_max: float = 1e-8) -> CoherentState:
     """Renormalized truncated coherent state at labels (z, w)."""
-    c, _, defect = _checked_coefficients(z, w, fs.K, fs.L, defect_max)
-    v = fs.basis_columns @ c
-    v = v / np.linalg.norm(v)
+    c, defect = _checked_coefficients(z, w, fs.K, fs.L, defect_max)
+    v = _unit(fs.basis_columns @ c)
     return CoherentState(z=complex(z), w=complex(w), vector=v,
                          truncation_defect=defect)
 
@@ -308,8 +304,7 @@ def uncertainty_product(fs: FockStructure, z: complex, w: complex,
     Both converge to 1/2 as the defect vanishes."""
     # the state is v = C c / ||C c||, and C is unitary to build_fock's
     # tol_eq, so C† v = c / ||c|| to that tolerance: no n-vector is formed
-    c, norm, _ = _checked_coefficients(z, w, fs.K, fs.L, defect_max)
-    c /= norm
+    c = _unit(_checked_coefficients(z, w, fs.K, fs.L, defect_max)[0])
     index = np.arange(fs.K * fs.L)
     power = np.abs(c) ** 2
 
@@ -350,7 +345,7 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
     if not (is_frame and rank == riesz.total_dim):
         raise NotRieszBasis("bicoherent_family requires a Riesz operator basis")
     K, L = _levels(riesz.block_dims)
-    c, _, defect = _checked_coefficients(z, w, K, L, defect_max)
+    c, defect = _checked_coefficients(z, w, K, L, defect_max)
 
     C = (W @ Vh).conj().T
     U_cols = T.conj().T

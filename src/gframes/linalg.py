@@ -57,13 +57,6 @@ def block_norms(M, dims) -> np.ndarray:
     return np.hypot.reduceat(np.hypot.reduce(np.abs(M), axis=1), starts)
 
 
-def opnorm(M) -> float:
-    """Largest singular value."""
-    if min(M.shape) == 0:
-        return 0.0
-    return float(np.linalg.norm(M, 2))
-
-
 def projector_gap(U, V) -> float:
     """||U U† - V V†||_F for matrices U and V with orthonormal columns,
     without forming either m x m projector.

@@ -36,9 +36,6 @@ class PerturbationReport:
 class GavrutaReport:
     m_measured: float          # sup_f (||(I-V)f|| - n ||Vf||) / ||f||
     premise_holds: bool
-    vacuous: bool              # m < 0 input: vacuously strong premise
-    norm_v: float
-    norm_v_bound: float        # sqrt(B1 * B2)
     guaranteed_lower_theta: float
     actual_lower_theta: float
     guaranteed_lower_lambda: float | None  # n = 0 only
@@ -121,14 +118,13 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
     bG = frame_bounds(G)
     B1, B2 = bF.upper, bG.upper
     V = TF.conj().T @ TG
-    norm_v = linalg.opnorm(V)
 
     def excess(f):
         Vf = V @ f
         return np.linalg.norm(f - Vf, axis=0) - n * np.linalg.norm(Vf, axis=0)
 
     if n == 0.0:
-        m_measured, witness = linalg.opnorm(np.eye(dim) - V), None
+        m_measured, witness = np.linalg.norm(np.eye(dim) - V, 2), None
         what = "sigma_max(I - V) ="
     else:
         m_measured, witness = linalg.sampled_max(
@@ -143,9 +139,6 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
     return GavrutaReport(
         m_measured=float(m_measured),
         premise_holds=True,
-        vacuous=m < 0.0,
-        norm_v=norm_v,
-        norm_v_bound=float(np.sqrt(B1 * B2)),
         guaranteed_lower_theta=guaranteed_theta,
         actual_lower_theta=bG.lower,
         guaranteed_lower_lambda=guaranteed_lambda,

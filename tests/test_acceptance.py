@@ -231,7 +231,8 @@ def test_criterion_07_gavruta_bounds(report):
         ok &= rep.premise_holds
         ok &= rep.guaranteed_lower_theta <= rep.actual_lower_theta + 1e-12
         ok &= rep.guaranteed_lower_lambda <= rep.actual_lower_lambda + 1e-12
-        ok &= rep.norm_v <= rep.norm_v_bound + 1e-9
+        ok &= np.linalg.norm(V, 2) <= np.sqrt(gf.frame_bounds(F).upper
+                                              * gf.frame_bounds(G).upper) + 1e-9
     report(7, "perturbation lower bounds and norm bound", ok,
            f"10 pairs, largest premise constant {worst_m:.3f}")
     assert ok

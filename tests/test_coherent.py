@@ -197,6 +197,20 @@ class TestCoherentState:
         expected = coherent.required_truncation(z, 0.0, 1.0)
         assert (exc.value.required_k, exc.value.required_l) == expected
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("z", [27.0, 27.2, 27.4])
+    def test_tiny_coefficients_still_normalize(self, z):
+        """At a budget of 1 these labels pass, with coefficients near 1e-160
+        whose sum of squares is subnormal: the state is still a unit vector
+        along C c, and the b-axis product (w = 0) is still 1/2."""
+        fs = gf.build_fock(gf.make_gon_basis(4, (2, 2)))
+        v = gf.coherent_state(fs, z, 0.0, defect_max=1.0).vector
+        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
+        ref = fs.basis_columns @ (1e160 * coherent.coefficient_vector(z, 0.0, 2, 2))
+        np.testing.assert_allclose(v, ref / np.linalg.norm(ref), rtol=0, atol=1e-15)
+        _, ub = gf.uncertainty_product(fs, z, 0.0, defect_max=1.0)
+        assert abs(ub - 0.5) <= 1e-15
+
 
 class TestLadderOps:
     def test_annihilates_vacuum_row(self, rng):
