@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__, frame_io, frames
 from .errors import GFrameError, ParseError, SchemaError, ShapeMismatch, UsageError
-from .linalg import TOL_EQ, TOL_FLOOR, block_norms, fro, random_units, sampled_max
+from .linalg import TOL_EQ, TOL_FLOOR, block_norms, fro, random_units, sampled_max, within
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -69,7 +69,9 @@ def _record(doc, name, passed, measured, tolerance):
 def _check(doc, name, measured):
     """Record check `name` of the table against its threshold."""
     limit = _THRESHOLDS[name]
-    passed = measured > limit if name == "differs_from_canonical" else measured <= limit
+    passed = within(measured, limit)
+    if name == "differs_from_canonical":  # NaN is neither within nor beyond
+        passed = not (passed or np.isnan(measured))
     _record(doc, name, passed, measured, limit)
 
 

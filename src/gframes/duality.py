@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import IsRieszBasis, NotADual, NotAFrame, ShapeMismatch, ZeroProbe
 from .frames import GFrame, analysis, canonical_dual, check_dual_pair, classify
-from .linalg import PROJECTOR_TOL, TOL_EQ, block_norms, fro, projector_gap
+from .linalg import PROJECTOR_TOL, TOL_EQ, block_norms, fro, projector_gap, within
 
 
 def kernel_vector(F: GFrame, seed: int = 0) -> np.ndarray:
@@ -85,7 +85,7 @@ def check_similar(F: GFrame, G: GFrame):
         raise ShapeMismatch("similarity check needs identical block shapes")
     UF, UG = F.range_basis(), G.range_basis()
     # ||P_F||_F = sqrt(rank F)
-    if projector_gap(UF, UG) > PROJECTOR_TOL * max(1.0, np.sqrt(UF.shape[1])):
+    if not within(projector_gap(UF, UG), PROJECTOR_TOL, np.sqrt(UF.shape[1])):
         return None
     TF, TG = analysis(F), analysis(G)
     s, Vh, _ = G.spectrum
@@ -96,7 +96,7 @@ def check_similar(F: GFrame, G: GFrame):
     X -= W @ (Uh @ (TG @ X - TF))
     tol = max(TOL_EQ, 16 * np.finfo(np.float64).eps * s[0] / s[r - 1]) if r else TOL_EQ
     err = block_norms(TG @ X - TF, F.block_dims)
-    if not np.all(err <= tol * np.maximum(1.0, block_norms(TF, F.block_dims))):
+    if not within(err, tol, block_norms(TF, F.block_dims)):
         return None
     return X
 
@@ -133,4 +133,4 @@ def gram_characterization(F: GFrame, Th: GFrame, G: GFrame) -> bool:
     T_G = analysis(G)
     M1 = T_Th.conj().T @ T_Th
     M2 = T_Th.conj().T @ T_G
-    return fro(M1 - M2) <= TOL_EQ * max(1.0, fro(M1))
+    return within(fro(M1 - M2), TOL_EQ, fro(M1))

@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .linalg import TOL_EQ, TOL_PD, TOL_RANK, as_cmatrix, fro
+from .linalg import TOL_EQ, TOL_PD, TOL_RANK, as_cmatrix, fro, within
 
 
 def _spectral_rules(s: np.ndarray, n: int) -> tuple:
@@ -128,7 +128,8 @@ class GFrame:
     @cached_property
     def canonical_dual(self) -> "GFrame":
         """The family Lambda_j S^{-1}, formed once from the cached factor;
-        raises NotAFrame when the family is not a frame.
+        raises NotAFrame when the family is not a frame, and NonFinite when
+        the dual's entries overflow.
 
         U Sigma^{-1} V† is already a thin SVD of the dual once its terms are
         put in descending order of 1/sigma, so the dual's spectrum is stored
@@ -140,8 +141,12 @@ class GFrame:
         construction."""
         if not frame_bounds(self).is_frame:
             raise NotAFrame("canonical dual requires a frame")
-        D = _times_inverse_root(self, 2)
         s, Vh, U = self.spectrum
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                D = _times_inverse_root(self, 2)
+        except NonFinite:
+            raise NonFinite(f"canonical dual overflows: sigma_min = {s[-1]:.3e}") from None
         s_dual = 1.0 / s[::-1]
         s_dual.flags.writeable = False
         D.__dict__["spectrum"] = (s_dual, Vh[::-1], U[:, ::-1])
@@ -239,8 +244,8 @@ def frame_bounds(F: GFrame, tol_eq: float = TOL_EQ) -> FrameBounds:
     upper = float(s[0] ** 2)
     lower = float(s[-1] ** 2) if s.size == F.hilbert_dim else 0.0
     ratio2, is_frame, _ = _spectral_rules(s, F.hilbert_dim)
-    is_tight = is_frame and 1.0 - ratio2 <= tol_eq
-    is_parseval = is_tight and abs(lower - 1.0) <= tol_eq
+    is_tight = is_frame and within(1.0 - ratio2, tol_eq)
+    is_parseval = is_tight and within(abs(lower - 1.0), tol_eq)
     return FrameBounds(lower, upper, is_frame, is_tight, is_parseval)
 
 
@@ -272,9 +277,8 @@ def _unit_scaled(A: np.ndarray):
 
 def _gram_rules(A: np.ndarray, B: np.ndarray, dims, tol_eq: float) -> tuple:
     """(is_identity, near_identity) for the m x m Gram G = A B† (blocks of
-    heights `dims`): whether every block G_jk meets
-    ||G_jk - delta_jk I||_F <= tol_eq * max(1, ||G_jk||_F), and whether
-    ||G - I||_F <= 1/2.
+    heights `dims`): whether every block G_jk is within tol_eq of
+    delta_jk I at the scale ||G_jk||_F, and whether ||G - I||_F <= 1/2.
 
     G is formed once from A and B scaled by powers of two, so that it cannot
     overflow, and is compared in those units."""
@@ -291,7 +295,7 @@ def _gram_rules(A: np.ndarray, B: np.ndarray, dims, tol_eq: float) -> tuple:
     ref2 = err2.copy()
     ref2[np.diag_indices(len(starts))] += np.add.reduceat(
         np.abs(g) ** 2 - np.abs(g - unit) ** 2, starts)
-    return (bool(np.all(np.sqrt(err2) <= tol_eq * np.maximum(unit, np.sqrt(ref2)))),
+    return (within(np.sqrt(err2), tol_eq, np.sqrt(ref2), unit),
             bool(np.sqrt(err2.sum()) <= 0.5 * unit))
 
 
@@ -339,7 +343,7 @@ def check_dual_pair(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ) -> bool:
     if not F.same_shape(G):
         raise ShapeMismatch("dual-pair check needs identical block shapes")
     M = G.matrix.conj().T @ F.matrix
-    return fro(M - np.eye(F.hilbert_dim)) <= tol_eq * max(1.0, fro(M))
+    return within(fro(M - np.eye(F.hilbert_dim)), tol_eq, fro(M))
 
 
 def check_biorthogonal(F: GFrame, G: GFrame) -> bool:

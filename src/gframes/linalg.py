@@ -11,20 +11,12 @@ import numpy as np
 
 from .errors import NonFinite, NotUnitary
 
-# The tolerance policy: the thresholds of every frame, rank and equality
-# decision.  Only TOL_EQ can be replaced per call, by the `tol_eq` of
-# frame_bounds, classify, check_dual_pair and build_fock (the CLI's --tol).
-# The CLI's per-check report thresholds and the `defect_max` truncation
-# budgets of the coherent states are not tolerances of this kind.
-
 # frame rule: (sigma_min / sigma_max)^2 > TOL_PD, which make_griesz also
 # applies to the singular values of X
 TOL_PD = 1e-12
 # rank rule: the singular values above TOL_RANK * sigma_max
 TOL_RANK = 1e-10
-# equality rules: tight and Parseval bounds, orthonormal sets, dual pairs,
-# biorthogonality, similarity, the Gram characterization and unitary
-# rotations, each relative to the scale of the compared matrices
+# equality rules (see within)
 TOL_EQ = 1e-10
 # range equality in check_similar: looser than TOL_EQ, since the two range
 # bases compared each carry their own round-off
@@ -34,6 +26,18 @@ PROJECTOR_TOL = 1e-8
 # basis of the CLI's coherent suite), which a tighter TOL_EQ would reject;
 # also the slack gavruta_check allows the measured premise constant over m
 TOL_FLOOR = 1e-9
+
+
+def within(measured, tol: float, scale=1.0, unit: float = 1.0) -> bool:
+    """The tolerance policy of every equality decision (tight and Parseval
+    bounds, orthonormal sets, dual pairs, biorthogonality, similarity, the
+    Gram characterization, unitary rotations, gavruta_check's premise and
+    the CLI's report thresholds): True when every entry of `measured` is at
+    most tol * max(unit, scale), so never for NaN.  The tolerance is relative
+    to the scale of the compared matrices, floored at 1, which is `unit` in
+    power-of-two units.  Only TOL_EQ can be replaced per call, by the
+    `tol_eq` of frame_bounds, classify, check_dual_pair and build_fock."""
+    return bool(np.all(measured <= tol * np.maximum(unit, scale)))
 
 
 def as_cmatrix(M) -> np.ndarray:
@@ -75,7 +79,7 @@ def check_unitary(U) -> np.ndarray:
     if A.shape[0] != A.shape[1]:
         raise NotUnitary("unitary matrix must be square")
     n = A.shape[0]
-    if fro(A.conj().T @ A - np.eye(n)) > TOL_EQ * max(1.0, fro(A)):
+    if not within(fro(A.conj().T @ A - np.eye(n)), TOL_EQ, fro(A)):
         raise NotUnitary("U†U deviates from the identity beyond tolerance")
     return A
 

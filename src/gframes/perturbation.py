@@ -100,7 +100,8 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
 
     For n = 0 the premise is exactly sigma_max(I - V) <= m; for n != 0 it is
     checked by seeded dense sampling, and a refuting witness raises.  A
-    measured constant up to TOL_FLOOR above m is taken as round-off."""
+    measured constant up to TOL_FLOOR above m is taken as round-off, and the
+    bounds use the larger of the two."""
     if not F.same_shape(G):
         raise ShapeMismatch("gavruta_check needs identical block shapes")
     # written to reject NaN, which fails every comparison
@@ -124,20 +125,21 @@ def gavruta_check(F: GFrame, G: GFrame, m: float, n: float,
         return np.linalg.norm(f - Vf, axis=0) - n * np.linalg.norm(Vf, axis=0)
 
     if n == 0.0:
-        m_measured, witness = np.linalg.norm(np.eye(dim) - V, 2), None
+        m_measured, witness = float(np.linalg.norm(np.eye(dim) - V, 2)), None
         what = "sigma_max(I - V) ="
     else:
         m_measured, witness = linalg.sampled_max(
             np.random.default_rng(seed), dim, samples, excess)
         what = "sampled ratio"
-    if m_measured > m + linalg.TOL_FLOOR:
+    if not linalg.within(m_measured - m, linalg.TOL_FLOOR):
         raise PremiseNotVerifiable(f"{what} {m_measured:.6e} exceeds m={m}",
                                    witness=witness)
 
+    m = max(m, m_measured)
     guaranteed_theta = (1.0 / B1) * ((1.0 - m) / (1.0 + n)) ** 2
     guaranteed_lambda = (1.0 / B2) * (1.0 - m) ** 2 if n == 0.0 else None
     return GavrutaReport(
-        m_measured=float(m_measured),
+        m_measured=m_measured,
         premise_holds=True,
         guaranteed_lower_theta=guaranteed_theta,
         actual_lower_theta=bG.lower,

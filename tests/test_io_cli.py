@@ -576,6 +576,31 @@ class TestCli:
                 assert code == 3 and captured.out == ""
                 assert json.loads(captured.err)["error"] == "TruncationTooSevere"
 
+    @pytest.mark.parametrize("command", ["all", "dual"])
+    def test_overflowing_canonical_dual_is_numerical(self, command, tmp_path, capsys):
+        """Two 1 x 1 blocks [[2.5e-316]]: a frame whose canonical dual, about
+        2.8e315, is not representable.  Both commands exit 3 with NonFinite
+        naming the overflow, write nothing to stdout and warn nothing."""
+        p = tmp_path / "tiny.frame"
+        frame_io.save(p, gf.GFrame(1, (np.array([[2.5e-316]]),) * 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = cli.main([command, str(p)])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "NonFinite", "detail": "canonical dual overflows: sigma_min = 3.536e-316"}
+
+    @pytest.mark.parametrize("name", sorted(cli._THRESHOLDS))
+    def test_non_finite_measurements_keep_their_verdicts(self, name):
+        """NaN fails every check, differs_from_canonical included; +inf
+        passes only differs_from_canonical and -inf every other check."""
+        differs = name == "differs_from_canonical"
+        for value, verdict in ((np.nan, False), (np.inf, differs), (-np.inf, not differs)):
+            doc = {"checks": []}
+            cli._check(doc, name, value)
+            assert doc["checks"][0]["pass"] is verdict
+
     def test_non_finite_spec_is_input_error(self, tmp_path, capsys):
         p = tmp_path / "nan.frame"
         p.write_text('{"hilbert_dim": 1, "blocks": [{"rows": 1, "matrix": [[[NaN, 0]]]}]}')
