@@ -8,7 +8,8 @@ defect) is computed exactly as a Poisson tail.
 
 The column matrix C is unitary and the ladder maps are banded shifts on the
 coefficient index, so operators and moments are formed in coefficient space:
-each ladder operator is one product of shifted columns with C†.
+each ladder operator is kept as its factors C ã C† and applied to a vector
+through them, in O(n K L) work.
 """
 from __future__ import annotations
 
@@ -45,9 +46,36 @@ class CoherentState:
 
 
 @dataclass(frozen=True)
+class _Ladder:
+    """The operator left ã right† on the ambient space, kept as its factors:
+    ã is the truncated lowering map of `_lower` on the coefficient index
+    l*K + k.  On the Fock columns, left = right = C, it is a ladder operator
+    of the pair; `@` applies it to a vector or an n x k matrix in O(n K L k)
+    work and `dense()` forms it as an n x n array."""
+
+    left: np.ndarray
+    right: np.ndarray
+    K: int
+    L: int
+    axis: str
+
+    def __matmul__(self, x):
+        # right† x as (right^T conj(x))^*, so that right is not copied
+        y = (self.right.T @ np.conj(x)).conj()
+        step, roots = _shift(self.K, self.L, self.axis)
+        out = np.zeros_like(y)
+        # ã y: entry i is roots[i] y[i + step], along the first axis of y
+        np.multiply(y[step:].T, roots, out=out[:len(out) - step].T)
+        return self.left @ out
+
+    def dense(self) -> np.ndarray:
+        return _lower(self.left, self.K, self.L, self.axis) @ self.right.conj().T
+
+
+@dataclass(frozen=True)
 class LadderPair:
-    a: np.ndarray
-    b: np.ndarray
+    a: _Ladder
+    b: _Ladder
 
 
 @dataclass(frozen=True)
@@ -135,21 +163,24 @@ def _checked_coefficients(z: complex, w: complex, K: int, L: int,
     """(c, defect): coefficient_vector at (z, w) truncated at (K, L) and its
     truncation defect, or TruncationTooSevere naming the smallest truncation
     that meets defect_max.  A label is refused when its defect exceeds the
-    budget, and also when c has no finite, nonzero norm to normalize by: a
+    budget, and also when `_unit` cannot normalize c to full precision: a
     budget of 1 passes labels whose Gaussian weight underflows or whose
-    |z|^2 overflows."""
+    |z|^2 overflows.  `_unit` scales c by a power of two first, so the
+    plain sum of squares may underflow; it needs max|c| finite and a
+    normal float, below which c has lost precision and the power of two
+    overflows."""
     defect = truncation_defect(z, w, K, L)
-    norm = 0.0
+    largest = 0.0
     if not defect > defect_max and math.isfinite(_intensity(z) + _intensity(w)):
         with np.errstate(all="ignore"):
             c = coefficient_vector(z, w, K, L)
-            norm = np.linalg.norm(c)
-    if not 0.0 < norm < math.inf:
+            largest = np.max(np.abs(c))
+    if not np.finfo(float).tiny <= largest < math.inf:
         kr, lr = required_truncation(z, w, defect_max)
         why = (f"defect {defect:.3e} exceeds {defect_max:.1e}"
                if defect > defect_max else
-               f"coefficients truncated at K = {K}, L = {L} have no finite, "
-               f"nonzero norm")
+               f"coefficients truncated at K = {K}, L = {L} are below the "
+               f"normal range or not finite")
         raise TruncationTooSevere(f"{why}; need K >= {kr}, L >= {lr}",
                                   required_k=kr, required_l=lr)
     return c, defect
@@ -215,25 +246,34 @@ def _lower(M: np.ndarray, K: int, L: int, axis: str) -> np.ndarray:
     zero.  On the Fock columns C, M ã C† is the lowering operator itself; on
     a row of coefficients c it gives (ã† c)^T, the raised coefficients.
     """
-    index = np.arange(K * L)
-    step, level = (1, index % K) if axis == "a" else (K, index // K)
+    step, roots = _shift(K, L, axis)
     out = np.zeros_like(M)
-    np.multiply(M[..., :K * L - step], np.sqrt(level[step:]), out=out[..., step:])
+    np.multiply(M[..., :K * L - step], roots, out=out[..., step:])
     return out
 
 
-def _ladders(columns: np.ndarray, adjoint: np.ndarray, K: int, L: int) -> LadderPair:
-    """The pair (columns ã) adjoint and (columns b̃) adjoint, forming one
-    shifted operand at a time: the ladder operators on C and C†."""
-    return LadderPair(a=_lower(columns, K, L, "a") @ adjoint,
-                      b=_lower(columns, K, L, "b") @ adjoint)
+def _shift(K: int, L: int, axis: str) -> tuple:
+    """(step, roots) of the lowering map ã on axis "a" or "b": ã sends
+    coefficient i + step to i times roots[i], the square root of the level
+    of i + step (k on axis "a", l on axis "b"), which is 0 where i + step
+    starts a block on axis "a"."""
+    step = 1 if axis == "a" else K
+    index = np.arange(step, K * L)
+    return step, np.sqrt(index % K if axis == "a" else index // K)
+
+
+def _ladders(left: np.ndarray, right: np.ndarray, K: int, L: int) -> LadderPair:
+    """The pair left ã right† and left b̃ right†, kept as their factors."""
+    return LadderPair(a=_Ladder(left, right, K, L, "a"),
+                      b=_Ladder(left, right, K, L, "b"))
 
 
 def ladder_ops(fs: FockStructure) -> LadderPair:
-    """Commuting lowering pair acting on the ambient space, built columnwise
-    from sqrt(k) and sqrt(l) shifts on the Fock columns."""
+    """Commuting lowering pair acting on the ambient space, C ã C† and
+    C b̃ C†, kept as their factors: applying one to a vector costs
+    O(n K L) and no n x n array is formed."""
     C = fs.basis_columns
-    return _ladders(C, C.conj().T, fs.K, fs.L)
+    return _ladders(C, C, fs.K, fs.L)
 
 
 def _radial_angular_gram(m: int, radial_nodes: int, angular_nodes: int) -> np.ndarray:
@@ -350,19 +390,22 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
     C = (W @ Vh).conj().T
     U_cols = T.conj().T
     P_cols = (Vh.conj().T / s) @ W.conj().T
-    # no product below needs the factors: the peak is the eight n x n
-    # arrays returned and one shifted operand of a ladder product
+    # no product below needs the factors.  X is formed last, so the peak
+    # is nine n x n arrays: the other seven outputs, and the shifted left
+    # factor and conjugated right factor of the last ladder product
     del W, Vh
-    X = C @ T   # V W† W Σ V† = V Σ V†
     # X a X^{-1} = U ã P† and X^{-1} a X = P ã U†, since X is Hermitian
-    riesz_ops = _ladders(U_cols, P_cols.conj().T, K, L)
-    up_ops = _ladders(P_cols, T, K, L)
+    riesz_ops = _ladders(U_cols, P_cols, K, L)
+    up_ops = _ladders(P_cols, U_cols, K, L)
+    a_riesz, b_riesz = riesz_ops.a.dense(), riesz_ops.b.dense()
+    a_up, b_up = up_ops.a.dense(), up_ops.b.dense()
+    X = C @ T   # V W† W Σ V† = V Σ V†
 
     phi_up = P_cols @ c
     return BicoherentFamily(
         phi=U_cols @ c, phi_dual=phi_up, phi_up=phi_up,
-        a_riesz=riesz_ops.a, a_dual=up_ops.a, a_up=up_ops.a,
-        b_riesz=riesz_ops.b, b_dual=up_ops.b, b_up=up_ops.b,
+        a_riesz=a_riesz, a_dual=a_up, a_up=a_up,
+        b_riesz=b_riesz, b_dual=b_up, b_up=b_up,
         u_columns=U_cols, v_columns=P_cols, p_columns=P_cols, x_factor=X,
         fock=FockStructure(K=K, L=L, basis_columns=C),
         truncation_defect=defect,

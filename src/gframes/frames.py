@@ -29,7 +29,7 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .linalg import TOL_EQ, TOL_PD, TOL_RANK, as_cmatrix, fro, within
+from .linalg import TOL_EQ, TOL_PD, TOL_RANK, as_cmatrix, fro, unit_scaled, within
 
 
 def _spectral_rules(s: np.ndarray, n: int) -> tuple:
@@ -263,18 +263,6 @@ def parseval_transform(F: GFrame) -> GFrame:
     return _times_inverse_root(F, 1)
 
 
-def _unit_scaled(A: np.ndarray):
-    """A / 2^e and 2^-e, with e >= 0 the smallest that brings max|A| below 1.
-
-    Scaling by a power of two is exact, so products of the scaled matrix
-    round exactly as the originals would, but cannot overflow."""
-    e = int(np.frexp(np.abs(A).max())[1])
-    if e <= 0:
-        return A, 1.0
-    unit = 2.0 ** -e
-    return A * unit, unit
-
-
 def _gram_rules(A: np.ndarray, B: np.ndarray, dims, tol_eq: float) -> tuple:
     """(is_identity, near_identity) for the m x m Gram G = A B† (blocks of
     heights `dims`): whether every block G_jk is within tol_eq of
@@ -282,8 +270,8 @@ def _gram_rules(A: np.ndarray, B: np.ndarray, dims, tol_eq: float) -> tuple:
 
     G is formed once from A and B scaled by powers of two, so that it cannot
     overflow, and is compared in those units."""
-    As, a = _unit_scaled(A)
-    Bs, b = (As, a) if B is A else _unit_scaled(B)
+    As, a = unit_scaled(A)
+    Bs, b = (As, a) if B is A else unit_scaled(B)
     unit = a * b
     G = As @ Bs.conj().T
     g = G.diagonal().copy()

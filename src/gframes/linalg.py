@@ -74,12 +74,28 @@ def projector_gap(U, V) -> float:
     return float(np.hypot(fro(U - V @ C), fro(V - U @ C.conj().T)))
 
 
+def unit_scaled(A: np.ndarray):
+    """A / 2^e and 2^-e, with e >= 0 the smallest that brings max|A| below 1.
+
+    Scaling by a power of two is exact, so products of the scaled matrix
+    round exactly as the originals would, but cannot overflow."""
+    e = int(np.frexp(np.abs(A).max(initial=0.0))[1])
+    if e <= 0:
+        return A, 1.0
+    unit = 2.0 ** -e
+    return A * unit, unit
+
+
 def check_unitary(U) -> np.ndarray:
     A = as_cmatrix(U)
     if A.shape[0] != A.shape[1]:
         raise NotUnitary("unitary matrix must be square")
-    n = A.shape[0]
-    if not within(fro(A.conj().T @ A - np.eye(n)), TOL_EQ, fro(A)):
+    # U†U - I in units of a^2, from U scaled by the power of two a, so that
+    # the product cannot overflow
+    As, a = unit_scaled(A)
+    D = As.conj().T @ As
+    D.flat[::A.shape[0] + 1] -= a * a
+    if not within(fro(D), TOL_EQ, a * fro(As), a * a):
         raise NotUnitary("U†U deviates from the identity beyond tolerance")
     return A
 

@@ -183,13 +183,14 @@ class TestCoherentState:
             assert exc.value.required_k > 10
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("z", [30.0, 40.0, 1e200])
+    @pytest.mark.parametrize("z", [38.0, 40.0, 1e200])
     @pytest.mark.parametrize("build", ["coherent_state", "uncertainty_product",
                                        "bicoherent_family"])
     def test_unrepresentable_coefficients_are_too_severe(self, build, z):
-        """A budget of 1 passes every label.  The Gaussian weight underflows
-        at |z| = 30 and 40 and |z|^2 overflows at 1e200, so no normalized
-        state exists; the labels raise as an exceeded budget does."""
+        """A budget of 1 passes every label.  The coefficients are subnormal
+        at |z| = 38, the Gaussian weight underflows to 0 at 40 and |z|^2
+        overflows at 1e200, so no normalized state exists to full
+        precision; the labels raise as an exceeded budget does."""
         gon = gf.make_gon_basis(4, (2, 2))
         arg = gon if build == "bicoherent_family" else gf.build_fock(gon)
         with pytest.raises(TruncationTooSevere, match=r"need K >= \d+, L >= 1") as exc:
@@ -198,16 +199,21 @@ class TestCoherentState:
         assert (exc.value.required_k, exc.value.required_l) == expected
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("z", [27.0, 27.2, 27.4])
+    @pytest.mark.parametrize("z", [27.0, 27.2, 27.4, 27.6, 30.0])
     def test_tiny_coefficients_still_normalize(self, z):
-        """At a budget of 1 these labels pass, with coefficients near 1e-160
-        whose sum of squares is subnormal: the state is still a unit vector
-        along C c, and the b-axis product (w = 0) is still 1/2."""
+        """At a budget of 1 these labels pass, with normal coefficients near
+        1e-160 or 1e-194 whose sum of squares is subnormal or, from
+        |z| = 27.6, underflows to 0: the state is still the unit vector
+        along C c, (1, z) / sqrt(1 + z^2) on its two live entries (at 27.6,
+        about (0.0362, 0.9993)), and the b-axis product (w = 0) is still
+        1/2."""
         fs = gf.build_fock(gf.make_gon_basis(4, (2, 2)))
         v = gf.coherent_state(fs, z, 0.0, defect_max=1.0).vector
         assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
         ref = fs.basis_columns @ (1e160 * coherent.coefficient_vector(z, 0.0, 2, 2))
         np.testing.assert_allclose(v, ref / np.linalg.norm(ref), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(v, np.array([1.0, z, 0.0, 0.0]) / np.hypot(1.0, z),
+                                   rtol=0, atol=1e-15)
         _, ub = gf.uncertainty_product(fs, z, 0.0, defect_max=1.0)
         assert abs(ub - 0.5) <= 1e-15
 
@@ -238,12 +244,13 @@ class TestLadderOps:
     def test_commutation(self, rng):
         fs = gf.build_fock(random_gon(rng, 12, (4, 4, 4)))
         ops = gf.ladder_ops(fs)
-        assert fro(ops.a @ ops.b - ops.b @ ops.a) <= 1e-12
+        a, b = ops.a.dense(), ops.b.dense()
+        assert fro(a @ b - b @ a) <= 1e-12
 
     def test_ccr_on_interior_levels(self, rng):
         fs = gf.build_fock(random_gon(rng, 16, (4, 4, 4, 4)))
-        ops = gf.ladder_ops(fs)
-        comm = ops.a @ ops.a.conj().T - ops.a.conj().T @ ops.a
+        a = gf.ladder_ops(fs).a.dense()
+        comm = a @ a.conj().T - a.conj().T @ a
         # restrict to levels k <= K-2; the top level violates CCR by design
         cols = [fock_column(fs, k, l) for l in range(fs.L) for k in range(fs.K - 1)]
         P = np.array(cols).T
@@ -260,8 +267,24 @@ class TestLadderOps:
             a_c, b_c = dense_lowering(fs.K, fs.L)
             C = fs.basis_columns
             ops = gf.ladder_ops(fs)
-            np.testing.assert_allclose(ops.a, C @ a_c @ C.conj().T, atol=1e-13)
-            np.testing.assert_allclose(ops.b, C @ b_c @ C.conj().T, atol=1e-13)
+            np.testing.assert_allclose(ops.a.dense(), C @ a_c @ C.conj().T, atol=1e-13)
+            np.testing.assert_allclose(ops.b.dense(), C @ b_c @ C.conj().T, atol=1e-13)
+
+    def test_factors_match_dense(self, rng):
+        """op @ x, applied through the factors, agrees with the dense
+        operator on vectors and n x k matrices on both axes; dense() is the
+        shifted columns times C†, bit for bit."""
+        for n, dims in [(12, (3,) * 4), (12, (4,) * 3), (5, (5,)), (4, (1,) * 4)]:
+            fs = gf.build_fock(random_gon(rng, n, dims))
+            C = fs.basis_columns
+            ops = gf.ladder_ops(fs)
+            for axis, op in (("a", ops.a), ("b", ops.b)):
+                A = op.dense()
+                assert np.array_equal(A, coherent._lower(C, fs.K, fs.L, axis) @ C.conj().T)
+                for x in (random_units(rng, n, 1)[:, 0], random_units(rng, n, 3),
+                          rng.standard_normal(n)):
+                    ref = A @ x
+                    assert np.linalg.norm(op @ x - ref) <= 1e-13 * np.linalg.norm(ref)
 
     def test_eigen_relation_residual_matches_series_bound(self, rng):
         # residual of a Phi - z Phi is |z| times the mass on the top level
@@ -590,6 +613,19 @@ class TestWorkingSet:
         # the eight arrays it returns and one shifted operand of a ladder
         # product: W and V† are released before the first product
         assert peak <= 9.1 * self.UNIT
+
+    def test_ladder_ops(self, rng):
+        fs = gf.build_fock(random_gon(rng, self.N, (self.K,) * self.L))
+        v = random_units(rng, self.N, 1)[:, 0]
+
+        def apply():
+            ops = gf.ladder_ops(fs)
+            return ops.a @ v, ops.b @ v
+
+        peak, _ = traced_peak(apply)
+        # only vectors: the pair holds C by reference and C† v is formed
+        # without copying C
+        assert peak < 0.1 * self.UNIT
 
     def test_quadrature_identity(self, rng):
         fs = gf.build_fock(random_gon(rng, self.N, (self.K,) * self.L))

@@ -80,11 +80,18 @@ def test_random_unitary_is_unitary(rng):
     assert np.linalg.norm(U.conj().T @ U - np.eye(7)) <= 1e-12
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_product_is_not_unitary():
-    # A†A overflows to inf and NaN entries, and a NaN defect is never within
-    with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NotUnitary):
-            linalg.check_unitary(np.array([[1e200, 1e200], [1e200, -1e200]]))
+    # the plain A†A overflows; check_unitary forms it from A scaled by a
+    # power of two, so it raises NotUnitary with no warning, here and
+    # through make_gon_basis's rotation
+    A = np.array([[1e200, 1e200], [1e200, -1e200]])
+    with pytest.raises(NotUnitary):
+        linalg.check_unitary(A)
+    with pytest.raises(NotUnitary):
+        gf.make_gon_basis(2, (1, 1), rotation=A)
+    # the same matrix scaled to a unitary passes
+    linalg.check_unitary(A / (np.sqrt(2.0) * 1e200))
 
 
 class TestWithin:
