@@ -262,18 +262,12 @@ def _shift(K: int, L: int, axis: str) -> tuple:
     return step, np.sqrt(index % K if axis == "a" else index // K)
 
 
-def _ladders(left: np.ndarray, right: np.ndarray, K: int, L: int) -> LadderPair:
-    """The pair left ã right† and left b̃ right†, kept as their factors."""
-    return LadderPair(a=_Ladder(left, right, K, L, "a"),
-                      b=_Ladder(left, right, K, L, "b"))
-
-
 def ladder_ops(fs: FockStructure) -> LadderPair:
     """Commuting lowering pair acting on the ambient space, C ã C† and
     C b̃ C†, kept as their factors: applying one to a vector costs
     O(n K L) and no n x n array is formed."""
     C = fs.basis_columns
-    return _ladders(C, C, fs.K, fs.L)
+    return LadderPair(*(_Ladder(C, C, fs.K, fs.L, axis) for axis in "ab"))
 
 
 def _radial_angular_gram(m: int, radial_nodes: int, angular_nodes: int) -> np.ndarray:
@@ -390,15 +384,16 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
     C = (W @ Vh).conj().T
     U_cols = T.conj().T
     P_cols = (Vh.conj().T / s) @ W.conj().T
-    # no product below needs the factors.  X is formed last, so the peak
-    # is nine n x n arrays: the other seven outputs, and the shifted left
-    # factor and conjugated right factor of the last ladder product
+    # no product below needs the factors
     del W, Vh
-    # X a X^{-1} = U ã P† and X^{-1} a X = P ã U†, since X is Hermitian
-    riesz_ops = _ladders(U_cols, P_cols, K, L)
-    up_ops = _ladders(P_cols, U_cols, K, L)
-    a_riesz, b_riesz = riesz_ops.a.dense(), riesz_ops.b.dense()
-    a_up, b_up = up_ops.a.dense(), up_ops.b.dense()
+    # X a X^{-1} = U ã P† and X^{-1} a X = P ã U†, since X is Hermitian,
+    # with P† formed once and U† = T read in place.  X is formed last, so
+    # the peak is eight n x n arrays: the other seven outputs and the
+    # shifted left factor of the last ladder product
+    P_h = P_cols.conj().T
+    a_riesz, b_riesz = (_lower(U_cols, K, L, axis) @ P_h for axis in "ab")
+    del P_h
+    a_up, b_up = (_lower(P_cols, K, L, axis) @ T for axis in "ab")
     X = C @ T   # V W† W Σ V† = V Σ V†
 
     phi_up = P_cols @ c

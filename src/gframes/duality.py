@@ -45,8 +45,10 @@ def construct_alternate_dual(F: GFrame, g0, seed: int = 0) -> GFrame:
     """A verified dual of F that differs from the canonical dual.
 
     Block j of the result is the canonical-dual block plus the rank-one map
-    f -> <g0, f> F_j, with F_j the j-th slice of a unit cokernel vector of
-    the analysis operator.
+    f -> c <g0, f> F_j, with F_j the j-th slice of a unit cokernel vector of
+    the analysis operator and c the power of two nearest 1/sigma_min, the
+    canonical dual's scale (at most 2^1023; c = 1 for sigma_min in
+    [1/sqrt2, sqrt2)), read from F's cached singular values.
     """
     cls = classify(F)
     if cls.is_riesz_basis:
@@ -60,7 +62,10 @@ def construct_alternate_dual(F: GFrame, g0, seed: int = 0) -> GFrame:
         raise ZeroProbe("probe vector must be nonzero")
 
     kv = kernel_vector(F, seed=seed)
-    T = analysis(canonical_dual(F)) + np.outer(kv, g0.conj())
+    T_can = analysis(canonical_dual(F))
+    # once the dual exists, F is a frame and sigma_min > 0
+    c = np.ldexp(1.0, min(1023, -int(np.floor(np.log2(F.spectrum[0][-1]) + 0.5))))
+    T = T_can + np.outer(c * kv, g0.conj())
     return GFrame._from_matrix(T, F.block_dims)
 
 
@@ -130,7 +135,7 @@ def gram_characterization(F: GFrame, Th: GFrame, G: GFrame) -> bool:
     if not check_dual_pair(F, G):
         raise NotADual("G does not reconstruct against F")
     T_Th = analysis(Th)
-    T_G = analysis(G)
-    M1 = T_Th.conj().T @ T_Th
-    M2 = T_Th.conj().T @ T_G
+    T_Th_h = T_Th.conj().T
+    M1 = T_Th_h @ T_Th
+    M2 = T_Th_h @ analysis(G)
     return within(fro(M1 - M2), TOL_EQ, fro(M1))

@@ -29,7 +29,8 @@ from .errors import (
     ShapeMismatch,
     Singular,
 )
-from .linalg import TOL_EQ, TOL_PD, TOL_RANK, as_cmatrix, fro, unit_scaled, within
+# perfbench's tracing self-test reads frames.fro
+from .linalg import TOL_EQ, TOL_PD, TOL_RANK, as_cmatrix, fro, gram_rules, within
 
 
 def _spectral_rules(s: np.ndarray, n: int) -> tuple:
@@ -263,30 +264,6 @@ def parseval_transform(F: GFrame) -> GFrame:
     return _times_inverse_root(F, 1)
 
 
-def _gram_rules(A: np.ndarray, B: np.ndarray, dims, tol_eq: float) -> tuple:
-    """(is_identity, near_identity) for the m x m Gram G = A B† (blocks of
-    heights `dims`): whether every block G_jk is within tol_eq of
-    delta_jk I at the scale ||G_jk||_F, and whether ||G - I||_F <= 1/2.
-
-    G is formed once from A and B scaled by powers of two, so that it cannot
-    overflow, and is compared in those units."""
-    As, a = unit_scaled(A)
-    Bs, b = (As, a) if B is A else unit_scaled(B)
-    unit = a * b
-    G = As @ Bs.conj().T
-    g = G.diagonal().copy()
-    G.flat[::G.shape[0] + 1] -= unit
-    starts = np.cumsum((0,) + tuple(dims[:-1]))
-    err2 = np.add.reduceat(np.add.reduceat(G.real ** 2 + G.imag ** 2, starts, axis=0),
-                           starts, axis=1)
-    # ||G_jj||^2 = ||G_jj - I||^2 + sum_i (|g_ii|^2 - |g_ii - 1|^2), in units
-    ref2 = err2.copy()
-    ref2[np.diag_indices(len(starts))] += np.add.reduceat(
-        np.abs(g) ** 2 - np.abs(g - unit) ** 2, starts)
-    return (within(np.sqrt(err2), tol_eq, np.sqrt(ref2), unit),
-            bool(np.sqrt(err2.sum()) <= 0.5 * unit))
-
-
 def _is_on_basis(F: GFrame, tol_eq: float) -> bool:
     """classify(F, tol_eq).is_on_basis, with no decomposition in the usual
     case: a square T with ||T T† - I||_F <= 1/2 has every sigma^2 in
@@ -296,7 +273,7 @@ def _is_on_basis(F: GFrame, tol_eq: float) -> bool:
     T = F.matrix
     if T.shape[0] != T.shape[1]:
         return False
-    is_on_set, near_identity = _gram_rules(T, T, F.block_dims, tol_eq)
+    is_on_set, near_identity = gram_rules(T, T, F.block_dims, tol_eq)
     return is_on_set and (near_identity or classify(F, tol_eq).is_on_basis)
 
 
@@ -315,7 +292,7 @@ def classify(F: GFrame, tol_eq: float = TOL_EQ) -> Classification:
     rank = F.rank()
     n, m = F.hilbert_dim, F.total_dim
     is_riesz = bounds.is_frame and rank == m
-    is_on_set = m <= n and _gram_rules(F.matrix, F.matrix, F.block_dims, tol_eq)[0]
+    is_on_set = m <= n and gram_rules(F.matrix, F.matrix, F.block_dims, tol_eq)[0]
     return Classification(
         is_bessel=True,  # finite families always admit an upper bound
         is_frame=bounds.is_frame,
@@ -330,8 +307,8 @@ def check_dual_pair(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ) -> bool:
     """True iff T_G† T_F = identity (reconstruction from both sides)."""
     if not F.same_shape(G):
         raise ShapeMismatch("dual-pair check needs identical block shapes")
-    M = G.matrix.conj().T @ F.matrix
-    return within(fro(M - np.eye(F.hilbert_dim)), tol_eq, fro(M))
+    # the Gram T_G^T conj(T_F), the conjugate of T_G† T_F
+    return gram_rules(G.matrix.T, F.matrix.T, (F.hilbert_dim,), tol_eq)[0]
 
 
 def check_biorthogonal(F: GFrame, G: GFrame) -> bool:
@@ -341,7 +318,7 @@ def check_biorthogonal(F: GFrame, G: GFrame) -> bool:
         raise ShapeMismatch("biorthogonality check needs identical block shapes")
     if F.total_dim > F.hilbert_dim:
         return False
-    return _gram_rules(G.matrix, F.matrix, F.block_dims, TOL_EQ)[0]
+    return gram_rules(G.matrix, F.matrix, F.block_dims, TOL_EQ)[0]
 
 
 def make_gon_basis(n: int, dims, rotation=None) -> GFrame:

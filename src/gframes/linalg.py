@@ -1,5 +1,5 @@
-"""Dense complex-matrix substrate: the tolerance policy, norms, projector
-distances and random unitaries.
+"""Dense complex-matrix substrate: the tolerance policy, the identity Gram
+rule, norms, projector distances and random unitaries.
 
 All tolerances are relative to the scale of the input (largest singular value
 or Frobenius norm); absolute tolerances are never used, so every routine is
@@ -74,28 +74,48 @@ def projector_gap(U, V) -> float:
     return float(np.hypot(fro(U - V @ C), fro(V - U @ C.conj().T)))
 
 
-def unit_scaled(A: np.ndarray):
-    """A / 2^e and 2^-e, with e >= 0 the smallest that brings max|A| below 1.
+def gram_rules(A: np.ndarray, B: np.ndarray, dims, tol: float) -> tuple:
+    """(is_identity, near_identity) for the m x m Gram G = A B† in blocks of
+    heights `dims`: whether every block G_jk is within tol of delta_jk I at
+    the scale ||G_jk||_F, and whether ||G - I||_F <= 1/2.  It is the one
+    identity rule: for orthonormal sets and biorthogonality blockwise, and
+    for dual pairs and unitaries as one block.
 
-    Scaling by a power of two is exact, so products of the scaled matrix
-    round exactly as the originals would, but cannot overflow."""
-    e = int(np.frexp(np.abs(A).max(initial=0.0))[1])
-    if e <= 0:
-        return A, 1.0
-    unit = 2.0 ** -e
-    return A * unit, unit
+    G is formed once from A and B scaled by the powers of two a and b that
+    bring their largest real and imaginary parts below 1, so that it cannot
+    overflow, and is compared in units of a b.  Scaling by a power of two
+    is exact, so G rounds as the unscaled product would."""
+    def down(M):
+        # 2^-e for the smallest e >= 0 above the exponent of M's largest
+        # part, read through a float64 view of M with no complex abs
+        x = M.ravel(order="K").view(np.float64)
+        return 2.0 ** -max(0, int(np.frexp(max(x.max(), -x.min()))[1]))
+
+    a = down(A)
+    b = a if B is A else down(B)
+    unit = a * b
+    # conj(B) is released once G is formed
+    G = (A * a if a < 1.0 else A) @ (np.conj(B) * b if b < 1.0 else np.conj(B)).T
+    g = G.diagonal().copy()
+    G.flat[::G.shape[0] + 1] -= unit
+    starts = np.cumsum((0,) + tuple(dims[:-1]))
+    err2 = np.add.reduceat(np.add.reduceat(G.real ** 2 + G.imag ** 2, starts, axis=0),
+                           starts, axis=1)
+    # ||G_jj||^2 = ||G_jj - I||^2 + sum_i (|g_ii|^2 - |g_ii - 1|^2), in units
+    ref2 = err2.copy()
+    ref2[np.diag_indices(len(starts))] += np.add.reduceat(
+        np.abs(g) ** 2 - np.abs(g - unit) ** 2, starts)
+    return (within(np.sqrt(err2), tol, np.sqrt(ref2), unit),
+            bool(np.sqrt(err2.sum()) <= 0.5 * unit))
 
 
 def check_unitary(U) -> np.ndarray:
     A = as_cmatrix(U)
     if A.shape[0] != A.shape[1]:
         raise NotUnitary("unitary matrix must be square")
-    # U†U - I in units of a^2, from U scaled by the power of two a, so that
-    # the product cannot overflow
-    As, a = unit_scaled(A)
-    D = As.conj().T @ As
-    D.flat[::A.shape[0] + 1] -= a * a
-    if not within(fro(D), TOL_EQ, a * fro(As), a * a):
+    # U^T conj(U) is the conjugate of U†U; a 0 x 0 matrix is unitary
+    At = A.T
+    if A.size and not gram_rules(At, At, (A.shape[0],), TOL_EQ)[0]:
         raise NotUnitary("U†U deviates from the identity beyond tolerance")
     return A
 

@@ -610,9 +610,10 @@ class TestWorkingSet:
     def test_bicoherent_family(self, rng):
         riesz, _ = random_riesz(rng, self.N, (self.K,) * self.L, cond_max=3.0)
         peak, _ = traced_peak(lambda: gf.bicoherent_family(riesz, 0.3, 0.2))
-        # the eight arrays it returns and one shifted operand of a ladder
-        # product: W and V† are released before the first product
-        assert peak <= 9.1 * self.UNIT
+        # seven of the eight arrays it returns and the shifted operand of
+        # its last ladder product: W and V† are released before the first
+        # product, P† before the inverse-factor products, and X is last
+        assert peak <= 8.1 * self.UNIT
 
     def test_ladder_ops(self, rng):
         fs = gf.build_fock(random_gon(rng, self.N, (self.K,) * self.L))

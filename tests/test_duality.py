@@ -64,15 +64,19 @@ class TestAlternateDual:
         assert max(fro(A - C) for A, C in zip(alt.blocks, can.blocks)) > 1e-6
 
     def test_perturbation_is_the_stated_rank_one_map(self, mercedes):
+        """The added map is c <g0, .> kv_j with c the power of two nearest
+        1/sigma_min: 1 for Mercedes (sigma_min = sqrt(3/2)), 1/4 for
+        Mercedes x 4."""
         g0 = np.array([0.3, -0.7 + 0.2j])
-        alt = gf.construct_alternate_dual(mercedes, g0)
-        can = gf.canonical_dual(mercedes)
-        kv = duality.kernel_vector(mercedes)
         off = np.cumsum((0,) + mercedes.block_dims)
-        for j, (A, C) in enumerate(zip(alt.blocks, can.blocks)):
-            np.testing.assert_allclose(A - C,
-                                       np.outer(kv[off[j]:off[j + 1]], g0.conj()),
-                                       atol=1e-14)
+        for scale, c in ((1.0, 1.0), (4.0, 0.25)):
+            F = mercedes.map_blocks(lambda B: scale * B)
+            alt = gf.construct_alternate_dual(F, g0)
+            can = gf.canonical_dual(F)
+            kv = duality.kernel_vector(F)
+            for j, (A, C) in enumerate(zip(alt.blocks, can.blocks)):
+                np.testing.assert_allclose(
+                    A - C, c * np.outer(kv[off[j]:off[j + 1]], g0.conj()), atol=1e-14)
 
     def test_riesz_input_rejected(self, rng):
         F = random_gon(rng, 4, (2, 2))

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import gframes as gf
-from gframes import duality, frame_io, frames, perturbation
+from gframes import duality, frame_io, frames, linalg, perturbation
 from gframes.errors import NonFinite, NotOnBasis, ShapeMismatch, Singular
 from gframes.linalg import TOL_EQ, TOL_PD, TOL_RANK, fro, random_unitary
 
@@ -530,8 +530,8 @@ class TestScale:
         T = gon.matrix + 1e-9 * E
         for k in (0, 300, 500):
             c = 2.0 ** k
-            passes = frames._gram_rules(c * T, T / c, (2, 2, 2), 1e-9)[0]
-            assert passes == frames._gram_rules(T, T, (2, 2, 2), 1e-9)[0]
+            passes = linalg.gram_rules(c * T, T / c, (2, 2, 2), 1e-9)[0]
+            assert passes == linalg.gram_rules(T, T, (2, 2, 2), 1e-9)[0]
 
     @pytest.mark.parametrize("c", [1e160, 1e-160])
     def test_similarity_at_extreme_scales(self, c):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gframes as gf
 from gframes import GFrame, linalg
@@ -92,6 +93,29 @@ def test_overflowing_product_is_not_unitary():
         gf.make_gon_basis(2, (1, 1), rotation=A)
     # the same matrix scaled to a unitary passes
     linalg.check_unitary(A / (np.sqrt(2.0) * 1e200))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-500, 500), st.integers(0, 2 ** 32 - 1))
+@example(300, 0)
+@example(0, 0)
+def test_identity_rule_at_every_scale(k, seed):
+    """On a random 6 x 3 frame F scaled by 2^k, with no warning: F and its
+    canonical dual are a dual pair, F is not its own dual, and 2^k U is
+    unitary only at k = 0.  The identity Gram is formed from factors scaled
+    by powers of two, so T_F† T_F at 2^300 does not overflow."""
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+    F = GFrame(3, tuple(np.split(2.0 ** k * T, 3)))
+    assert gf.check_dual_pair(F, gf.canonical_dual(F))
+    assert not gf.check_dual_pair(F, F)
+    U = 2.0 ** k * linalg.random_unitary(3, rng)
+    if k == 0:
+        linalg.check_unitary(U)
+    else:
+        with pytest.raises(NotUnitary):
+            linalg.check_unitary(U)
 
 
 class TestWithin:
