@@ -27,7 +27,7 @@ from .errors import (
     TruncationTooSevere,
 )
 from .frames import GFrame, _is_on_basis, _spectral_rules, analysis
-from .linalg import TOL_EQ
+from .linalg import TOL_EQ, exponent
 
 
 @dataclass(frozen=True)
@@ -188,10 +188,11 @@ def _checked_coefficients(z: complex, w: complex, K: int, L: int,
 
 def _unit(x: np.ndarray) -> np.ndarray:
     """x / ||x||, with x first scaled by the power of two that brings its
-    largest entry into [1/2, 1), so that the sum of squares neither
-    underflows nor overflows.  The scaling is exact: wherever the plain
-    quotient is accurate, the result is the same bit for bit."""
-    x = x * math.ldexp(1.0, -math.frexp(float(np.max(np.abs(x))))[1])
+    largest real or imaginary part into [1/2, 1) (see exponent), so that
+    the sum of squares neither underflows nor overflows.  The scaling is
+    exact: wherever the plain quotient is accurate, the result is the same
+    bit for bit."""
+    x = x * math.ldexp(1.0, -exponent(x))
     return x / np.linalg.norm(x)
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import IsRieszBasis, NotADual, NotAFrame, ShapeMismatch, ZeroProbe
 from .frames import GFrame, analysis, canonical_dual, check_dual_pair, classify
-from .linalg import PROJECTOR_TOL, TOL_EQ, block_norms, fro, projector_gap, within
+from .linalg import TOL_EQ, block_norms, exponent, fro, within
 
 
 def kernel_vector(F: GFrame, seed: int = 0) -> np.ndarray:
@@ -58,7 +58,7 @@ def construct_alternate_dual(F: GFrame, g0, seed: int = 0) -> GFrame:
     g0 = np.asarray(g0, dtype=np.complex128).ravel()
     if g0.shape[0] != F.hilbert_dim:
         raise ShapeMismatch("probe vector has wrong dimension")
-    if np.linalg.norm(g0) == 0.0:
+    if not np.any(g0):
         raise ZeroProbe("probe vector must be nonzero")
 
     kv = kernel_vector(F, seed=seed)
@@ -72,27 +72,25 @@ def construct_alternate_dual(F: GFrame, g0, seed: int = 0) -> GFrame:
 def check_similar(F: GFrame, G: GFrame):
     """X with F_j = G_j X for all j, or None.
 
-    Two frames are similar exactly when their analysis operators have the
-    same range; the range test measures the distance of the orthogonal
-    projectors from orthonormal range bases.  X is then the least-squares
-    solution T_G^+ T_F, invertible when F is complete and zero on F's kernel
-    otherwise.  It is formed as V_r Sigma_r^{-1} U_r† T_F, with the
-    whitening W = V_r Sigma_r^{-1} and the range basis U_r both from G's
-    cached factor, plus one step of refinement on the residual; it is
-    verified blockwise on the matrices, so the check stays real for a
-    canonical dual, whose cached factor is its frame's rather than its
-    own.  The blockwise tolerance is max(TOL_EQ, 16 eps cond(T_G)), with
-    cond(T_G) from G's cached sigma: an exact X carries W's round-off,
-    about eps cond(T_G).  No product squares Sigma or T, so neither can
-    overflow or underflow where T itself does not.
+    X is the least-squares solution T_G^+ T_F, invertible when F is
+    complete and singular otherwise, formed as V_r Sigma_r^{-1} U_r† T_F
+    with the whitening W = V_r Sigma_r^{-1} and the range basis U_r from
+    G's cached factor, plus one step of refinement on the residual.  F is
+    never factored.  The residual decides: F is similar when every block
+    ||G_j X - F_j|| is within tol of ||F_j||, floored at T_F's power-of-two
+    unit 2^e (see exponent) and compared in units of 2^e, so scaling F and
+    G by one power of two changes none of the numbers compared wherever
+    G's factor scales with them.  The tolerance is max(TOL_EQ,
+    16 eps cond(T_G)), with cond(T_G) from G's cached sigma: an exact X
+    carries W's round-off, about eps cond(T_G).  The check stays real for
+    a canonical dual G, whose cached factor is its frame's rather than its
+    own.  No product squares Sigma or T, so neither can overflow or
+    underflow where T itself does not.
     """
     if not F.same_shape(G):
         raise ShapeMismatch("similarity check needs identical block shapes")
-    UF, UG = F.range_basis(), G.range_basis()
-    # ||P_F||_F = sqrt(rank F)
-    if not within(projector_gap(UF, UG), PROJECTOR_TOL, np.sqrt(UF.shape[1])):
-        return None
     TF, TG = analysis(F), analysis(G)
+    UG = G.range_basis()
     s, Vh, _ = G.spectrum
     r = UG.shape[1]
     W = Vh[:r].conj().T / s[:r]
@@ -100,8 +98,9 @@ def check_similar(F: GFrame, G: GFrame):
     X = W @ (Uh @ TF)
     X -= W @ (Uh @ (TG @ X - TF))
     tol = max(TOL_EQ, 16 * np.finfo(np.float64).eps * s[0] / s[r - 1]) if r else TOL_EQ
+    e = exponent(TF)
     err = block_norms(TG @ X - TF, F.block_dims)
-    if not within(err, tol, block_norms(TF, F.block_dims)):
+    if not within(np.ldexp(err, -e), tol, np.ldexp(block_norms(TF, F.block_dims), -e)):
         return None
     return X
 
@@ -134,8 +133,13 @@ def gram_characterization(F: GFrame, Th: GFrame, G: GFrame) -> bool:
         raise NotADual("Th does not reconstruct against F")
     if not check_dual_pair(F, G):
         raise NotADual("G does not reconstruct against F")
-    T_Th = analysis(Th)
+    T_Th, T_G = analysis(Th), analysis(G)
+    # M1 and M2 are formed from T_Th and T_G scaled by one power of two
+    # a <= 1 that brings their parts below 1, and compared in units of a^2
+    a = 2.0 ** -max(0, exponent(T_Th), exponent(T_G))
+    if a < 1.0:
+        T_Th, T_G = T_Th * a, T_G * a
     T_Th_h = T_Th.conj().T
     M1 = T_Th_h @ T_Th
-    M2 = T_Th_h @ analysis(G)
-    return within(fro(M1 - M2), TOL_EQ, fro(M1))
+    M2 = T_Th_h @ T_G
+    return within(fro(M1 - M2), TOL_EQ, fro(M1), a * a)

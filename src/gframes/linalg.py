@@ -1,5 +1,5 @@
-"""Dense complex-matrix substrate: the tolerance policy, the identity Gram
-rule, norms, projector distances and random unitaries.
+"""Dense complex-matrix substrate: the tolerance policy, the scale rule, the
+identity Gram rule, norms and random unitaries.
 
 All tolerances are relative to the scale of the input (largest singular value
 or Frobenius norm); absolute tolerances are never used, so every routine is
@@ -18,9 +18,6 @@ TOL_PD = 1e-12
 TOL_RANK = 1e-10
 # equality rules (see within)
 TOL_EQ = 1e-10
-# range equality in check_similar: looser than TOL_EQ, since the two range
-# bases compared each carry their own round-off
-PROJECTOR_TOL = 1e-8
 # floor on the equality tolerance where the family tested carries the
 # round-off of a computation (an alternate dual, the rotated orthonormal
 # basis of the CLI's coherent suite), which a tighter TOL_EQ would reject;
@@ -61,17 +58,14 @@ def block_norms(M, dims) -> np.ndarray:
     return np.hypot.reduceat(np.hypot.reduce(np.abs(M), axis=1), starts)
 
 
-def projector_gap(U, V) -> float:
-    """||U U† - V V†||_F for matrices U and V with orthonormal columns,
-    without forming either m x m projector.
-
-    With P and Q the two projectors, P - Q = P(I - Q) - (I - P)Q and the
-    cross term vanishes, so the square is ||(I - Q)U||^2 + ||(I - P)V||^2:
-    a sum of two nonnegative terms, free of the cancellation in
-    rank P + rank Q - 2 ||V†U||^2.
-    """
-    C = V.conj().T @ U
-    return float(np.hypot(fro(U - V @ C), fro(V - U @ C.conj().T)))
+def exponent(M) -> int:
+    """The package's one scale rule: the exponent e that puts the largest
+    real or imaginary part of M in [2^(e-1), 2^e), and 0 for a zero or
+    empty M.  Scaling M by 2^-e brings every part below 1, and is exact
+    while the parts stay normal floats.  It reads a float64 view of M, with
+    no complex abs."""
+    x = np.asarray(M).ravel(order="K").view(np.float64)
+    return int(np.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1])
 
 
 def gram_rules(A: np.ndarray, B: np.ndarray, dims, tol: float) -> tuple:
@@ -81,18 +75,13 @@ def gram_rules(A: np.ndarray, B: np.ndarray, dims, tol: float) -> tuple:
     identity rule: for orthonormal sets and biorthogonality blockwise, and
     for dual pairs and unitaries as one block.
 
-    G is formed once from A and B scaled by the powers of two a and b that
-    bring their largest real and imaginary parts below 1, so that it cannot
-    overflow, and is compared in units of a b.  Scaling by a power of two
-    is exact, so G rounds as the unscaled product would."""
-    def down(M):
-        # 2^-e for the smallest e >= 0 above the exponent of M's largest
-        # part, read through a float64 view of M with no complex abs
-        x = M.ravel(order="K").view(np.float64)
-        return 2.0 ** -max(0, int(np.frexp(max(x.max(), -x.min()))[1]))
-
-    a = down(A)
-    b = a if B is A else down(B)
+    G is formed once from A and B scaled by the powers of two a and b at
+    most 1 that bring their largest real and imaginary parts below 1 (see
+    exponent), so that it cannot overflow, and is compared in units of a b.
+    Scaling by a power of two is exact, so G rounds as the unscaled product
+    would."""
+    a = 2.0 ** -max(0, exponent(A))
+    b = a if B is A else 2.0 ** -max(0, exponent(B))
     unit = a * b
     # conj(B) is released once G is formed
     G = (A * a if a < 1.0 else A) @ (np.conj(B) * b if b < 1.0 else np.conj(B)).T

@@ -45,6 +45,22 @@ def conditioned_frame(kappa):
     return GFrame(16, tuple(np.split(T, 32)))
 
 
+def projector_gap(U, V) -> float:
+    """||U U† - V V†||_F for matrices U and V with orthonormal columns,
+    without forming either projector: with P and Q the two projectors,
+    P - Q = P(I - Q) - (I - P)Q, so the square is the sum of the
+    nonnegative ||(I - Q)U||^2 and ||(I - P)V||^2, free of cancellation."""
+    C = V.conj().T @ U
+    return float(np.hypot(np.linalg.norm(U - V @ C), np.linalg.norm(V - U @ C.conj().T)))
+
+
+def redundant_frame(c=1.0):
+    """c [U; U] / sqrt 2 times diag(linspace(1, 3, 8)), with U =
+    random_unitary(8, default_rng(1)): a 16 x 8 frame in 8 blocks of 2 rows."""
+    U = random_unitary(8, np.random.default_rng(1))
+    return GFrame(8, tuple(np.split(c / np.sqrt(2) * np.vstack([U, U]) * np.linspace(1, 3, 8), 8)))
+
+
 def random_gon(rng, n, dims):
     return make_gon_basis(n, dims, rotation=random_unitary(n, rng))
 

@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gframes as gf
-from gframes import duality
+from gframes import GFrame, duality
 from gframes.errors import IsRieszBasis, NotADual, ZeroProbe
 from gframes.frames import analysis
 from gframes.linalg import fro
 
-from conftest import random_frame, random_gon, random_riesz
+from conftest import (count_decompositions, random_frame, random_gon, random_riesz,
+                      redundant_frame)
+
+
+def scaled(F, c):
+    return F.map_blocks(lambda B: c * B)
 
 
 class TestKernelVector:
@@ -87,6 +93,18 @@ class TestAlternateDual:
         with pytest.raises(ZeroProbe):
             gf.construct_alternate_dual(mercedes, np.zeros(2))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("size", [1e-200, 1e200])
+    def test_probe_whose_norm_leaves_binary64(self, mercedes, size):
+        """A probe is refused only when it is zero: one whose sum of squares
+        underflows to 0 or overflows still gives the canonical dual plus
+        <g0, .> kv (c = 1 for Mercedes), with no warning."""
+        g0 = size * np.array([1.0, 0.5])
+        alt = gf.construct_alternate_dual(mercedes, g0)
+        T_can = analysis(gf.canonical_dual(mercedes))
+        kv = duality.kernel_vector(mercedes)
+        np.testing.assert_array_equal(alt.matrix, T_can + np.outer(kv, g0.conj()))
+
     def test_range_orthogonality(self, rng):
         F = random_frame(rng, 4, (2, 2, 2))
         g0 = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -125,6 +143,28 @@ class TestSimilarity:
             np.testing.assert_allclose(B @ X, B, atol=1e-12)
         assert np.linalg.matrix_rank(X) == F.rank() == 2
 
+    def test_incomplete_family_inside_the_range(self, rng):
+        """An incomplete F whose range lies inside a frame G's is F = G X
+        with the singular X = T_G^+ T_F, here the rank-2 Y of T_F = T_G Y."""
+        G = random_frame(rng, 4, (2, 2, 2))
+        Y = rng.standard_normal((4, 2)) @ rng.standard_normal((2, 4))
+        F = gf.GFrame(4, tuple(B @ Y for B in G.blocks))
+        X = duality.check_similar(F, G)
+        assert X is not None
+        np.testing.assert_allclose(X, Y, atol=1e-12)
+        assert np.linalg.matrix_rank(X) == 2
+
+    def test_factors_only_g(self, rng, monkeypatch):
+        """On two frames with no cached factor, check_similar runs one SVD,
+        of T_G: the residual decides, so F is never factored."""
+        G = random_frame(rng, 4, (2, 2, 2))
+        F = gf.GFrame(4, tuple(2.0 * B for B in G.blocks))
+        calls = count_decompositions(monkeypatch)
+        assert duality.check_similar(F, G) is not None
+        assert len(calls) == 1
+        name, A = calls[0]
+        assert name == "svd" and A is G.matrix
+
     def test_different_range_returns_none(self, mercedes, rng):
         other = random_frame(rng, 2, (1, 1, 1))
         assert duality.check_similar(mercedes, other) is None
@@ -138,6 +178,42 @@ class TestSimilarity:
         X_fh = duality.check_similar(F, H)
         assert X_fg is not None and X_gh is not None and X_fh is not None
         np.testing.assert_allclose(X_gh @ X_fg, X_fh, atol=1e-8)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-500, 500), st.integers(0, 2 ** 32 - 1))
+@example(-500, 0)
+@example(500, 0)
+def test_similarity_is_exact_under_powers_of_two(k, seed):
+    """check_similar(2^k F, 2^k G) is check_similar(F, G) bit for bit, and a
+    pair off each other's range is refused at every k, with no warning.
+
+    X reads G's cached factor, which LAPACK's SVD scales exactly only while
+    T_G's entries lie within about 2^+-459: beyond, it rescales T_G by a
+    factor that is not a power of two.  So the factor of 2^k G is first
+    pinned to G's scaled exactly; with LAPACK's own factor, X is still the
+    same to rounding, and bit for bit wherever that factor scaled exactly."""
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    Y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    other = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    G, F, H = (GFrame(4, tuple(np.split(A, 3))) for A in (T, T @ Y, other))
+    X = duality.check_similar(F, G)
+    assert X is not None and duality.check_similar(H, G) is None
+    c = 2.0 ** k
+    s, Vh, U = G.spectrum
+    Gk = scaled(G, c)
+    Gk.__dict__["spectrum"] = (c * s, Vh, U)
+    np.testing.assert_array_equal(duality.check_similar(scaled(F, c), Gk), X)
+    assert duality.check_similar(scaled(H, c), Gk) is None
+    Gk = scaled(G, c)
+    Xk = duality.check_similar(scaled(F, c), Gk)
+    assert Xk is not None and duality.check_similar(scaled(H, c), Gk) is None
+    assert fro(Xk - X) <= 1e-13 * fro(X)
+    sk, Vhk, Uk = Gk.spectrum
+    if np.array_equal(sk, c * s) and np.array_equal(Vhk, Vh) and np.array_equal(Uk, U):
+        np.testing.assert_array_equal(Xk, X)
 
 
 class TestNormDecomposition:
@@ -182,6 +258,23 @@ class TestGramCharacterization:
         can = gf.canonical_dual(mercedes)
         with pytest.raises(NotADual):
             gf.gram_characterization(mercedes, mercedes, can)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=40, deadline=None)
+@given(st.integers(-500, 0))
+@example(-500)
+@example(-333)
+def test_gram_characterization_on_large_duals(k):
+    """On the redundant frame scaled by 2^k, k <= 0, the Gram test tells
+    the canonical dual from the alternate one with no warning: M1 and M2 are
+    formed from duals scaled below 1, so ||M1||, about 4^-k, cannot
+    overflow (it did at 1e-100, k = -333)."""
+    F = redundant_frame(2.0 ** k)
+    can = gf.canonical_dual(F)
+    alt = gf.construct_alternate_dual(F, np.array([0.4, 0.9j, 0, 0, 1, 0, 0, -0.3]))
+    assert gf.gram_characterization(F, can, alt)
+    assert not gf.gram_characterization(F, alt, can)
 
 
 def test_minimality_across_alternate_duals(rng):

@@ -17,7 +17,8 @@ import gframes as gf
 from gframes import cli, coherent, frame_io, frames, linalg
 from gframes.errors import ParseError, SchemaError, TruncationTooSevere
 
-from conftest import conditioned_frame, count_inverse_roots, random_frame, traced_peak
+from conftest import (conditioned_frame, count_inverse_roots, random_frame, redundant_frame,
+                      traced_peak)
 
 
 # the modules every `gframe` subcommand loads, and those each one adds
@@ -873,6 +874,17 @@ class TestCli:
         assert passed["alternate_dual_reconstruction"]
         assert passed["gram_distinguishes_canonical"]
         assert code == 0
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["alt-dual", "all"])
+    def test_redundant_frame_at_1e_minus_100(self, command, tmp_path, capsys):
+        """The duals of a frame at 1e-100 are about 1e100, and the Gram test
+        forms T_Th† T_Th from them scaled below 1, so the report passes with
+        no overflow."""
+        p = tmp_path / "tiny.frame"
+        frame_io.save(p, redundant_frame(1e-100))
+        assert cli.main([command, str(p)]) == 0
+        assert capsys.readouterr().err == ""
 
     def test_reciprocal_bounds_measure_the_dual(self, mercedes_path, capsys,
                                                 monkeypatch):

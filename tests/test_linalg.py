@@ -49,33 +49,6 @@ class TestRangeProjector:
         assert np.linalg.norm(P @ M - M) <= 1e-10 * np.linalg.norm(M)
 
 
-class TestProjectorGap:
-    @staticmethod
-    def dense_gap(A, B):
-        """||P_A - P_B||_F with both projectors formed from pseudo-inverses."""
-        return np.linalg.norm(A @ np.linalg.pinv(A) - B @ np.linalg.pinv(B))
-
-    @pytest.mark.parametrize("m, n", [(6, 3), (40, 5), (9, 9)])
-    def test_matches_dense_projectors(self, rng, m, n):
-        for _ in range(5):
-            A = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            X = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            B = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
-            for other in (A @ X, B):   # the same range, and another one
-                gap = linalg.projector_gap(range_basis(A),
-                                           range_basis(other))
-                assert abs(gap - self.dense_gap(A, other)) <= 1e-12
-
-    def test_nested_ranges_of_unequal_rank(self, rng):
-        G = rng.standard_normal((7, 2)) + 1j * rng.standard_normal((7, 2))
-        A = G @ rng.standard_normal((2, 4))
-        B = np.hstack([G, rng.standard_normal((7, 2))])
-        gap = linalg.projector_gap(range_basis(A), range_basis(B))
-        assert abs(gap - self.dense_gap(A, B)) <= 1e-12
-        # P_B - P_A projects onto a 2-dim complement
-        assert gap == pytest.approx(np.sqrt(2.0), abs=1e-12)
-
-
 def test_random_unitary_is_unitary(rng):
     U = linalg.random_unitary(7, rng)
     assert np.linalg.norm(U.conj().T @ U - np.eye(7)) <= 1e-12
@@ -116,6 +89,29 @@ def test_identity_rule_at_every_scale(k, seed):
     else:
         with pytest.raises(NotUnitary):
             linalg.check_unitary(U)
+
+
+class TestExponent:
+    """linalg.exponent: the e with the largest real or imaginary part in
+    [2^(e-1), 2^e)."""
+
+    def test_powers_of_two_and_their_neighbours(self):
+        for k in (-1073, -1022, -40, 0, 40, 1023):
+            x = 2.0 ** k
+            assert linalg.exponent(np.array([[x]])) == k + 1
+            assert linalg.exponent(np.array([[np.nextafter(x, 0.0)]])) == k
+        assert linalg.exponent(np.array([[np.finfo(np.float64).max]])) == 1024
+
+    def test_reads_the_largest_part_of_either_sign(self):
+        assert linalg.exponent(np.array([[0.3 - 5.0j, 1.0]])) == 3
+        assert linalg.exponent(np.array([[-0.75j, 0.5]])) == 0
+        # a column slice of a matrix, not contiguous in memory
+        M = np.array([[3.0, 100.0], [-6.0j, 0.0]])
+        assert linalg.exponent(M[:, 0]) == 3
+
+    def test_zero_and_empty(self):
+        assert linalg.exponent(np.zeros((2, 3), dtype=complex)) == 0
+        assert linalg.exponent(np.zeros((0, 3), dtype=complex)) == 0
 
 
 class TestWithin:
@@ -194,8 +190,9 @@ def _unitary(factor, c):
 
 def _similar(factor, c):
     # F is G plus d on row N, off G's range, in the first block of N + 1
-    # rows: that block's residual is d, against ||F_1|| = c sqrt(N) to 1e-10
-    d = factor * linalg.TOL_EQ * max(1.0, c * np.sqrt(N))
+    # rows: that block's residual is d, against ||F_1|| = c sqrt(N) to 1e-10,
+    # above the floor 2c, T_F's power-of-two unit
+    d = factor * linalg.TOL_EQ * c * np.sqrt(N)
     TG = c * np.vstack([np.eye(N), np.zeros((2, N))])
     TF = TG.copy()
     TF[N, 0] = d
@@ -220,11 +217,9 @@ def _gavruta(factor, c):
     return True
 
 
-# check_unitary compares with the identity, which has no scale; check_similar's
-# blockwise test is reached only past the scale-free range test at
-# PROJECTOR_TOL, so a defect at its floor needs blocks above about 1e-2
+# check_unitary compares with the identity, which has no scale
 _SITES = [(_dual_pair, (-40, 40)), (_gram, (-40, 40)), (_unitary, (0,)),
-          (_similar, (-4, 40)), (_tight, (-40, 40)), (_gavruta, (-40, 40))]
+          (_similar, (-40, -4, 40)), (_tight, (-40, 40)), (_gavruta, (-40, 40))]
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
