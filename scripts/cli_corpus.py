@@ -40,6 +40,8 @@ def write_specs():
         "scaled": redundant.map_blocks(lambda B: 1.01 * B),
         # duals of about 1e100, whose Grams T†T leave binary64 unless scaled
         "tiny": redundant.map_blocks(lambda B: 1e-100 * B),
+        # duals of about 1e-100, which a Gram test floored at 1 calls alike
+        "huge": redundant.map_blocks(lambda B: 1e100 * B),
         "gon": gon,
         "gon16": make_gon_basis(16, (4,) * 4, rotation=random_unitary(16, rng)),
         "riesz": make_griesz(gon, X),
@@ -59,8 +61,9 @@ def command_lines():
         for spec in SPECS:
             for opts in options + (written,):
                 yield [sub, f"{spec}.frame"] + opts
-    for sub in ("alt-dual", "all"):
-        yield [sub, "tiny.frame"]
+    for spec in ("tiny", "huge"):
+        for sub in ("alt-dual", "all"):
+            yield [sub, f"{spec}.frame"]
     pairs = (("redundant", "scaled"), ("gon", "riesz"), ("riesz", "gon"),
              ("redundant", "nonframe"), ("gon", "redundant"),
              ("conditioned", "conditioned"))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import IsRieszBasis, NotADual, NotAFrame, ShapeMismatch, ZeroProbe
 from .frames import GFrame, analysis, canonical_dual, check_dual_pair, classify
-from .linalg import TOL_EQ, block_norms, exponent, fro, within
+from .linalg import TOL_EQ, block_norms, exponent, fro, ldexp, within
 
 
 def kernel_vector(F: GFrame, seed: int = 0) -> np.ndarray:
@@ -77,10 +77,9 @@ def check_similar(F: GFrame, G: GFrame):
     with the whitening W = V_r Sigma_r^{-1} and the range basis U_r from
     G's cached factor, plus one step of refinement on the residual.  F is
     never factored.  The residual decides: F is similar when every block
-    ||G_j X - F_j|| is within tol of ||F_j||, floored at T_F's power-of-two
-    unit 2^e (see exponent) and compared in units of 2^e, so scaling F and
-    G by one power of two changes none of the numbers compared wherever
-    G's factor scales with them.  The tolerance is max(TOL_EQ,
+    ||G_j X - F_j|| is within tol of max(2^e, ||F_j||), in units of T_F's
+    power-of-two unit 2^e (see exponent), so scaling F and G by one power
+    of two changes no number compared.  The tolerance is max(TOL_EQ,
     16 eps cond(T_G)), with cond(T_G) from G's cached sigma: an exact X
     carries W's round-off, about eps cond(T_G).  The check stays real for
     a canonical dual G, whose cached factor is its frame's rather than its
@@ -99,8 +98,8 @@ def check_similar(F: GFrame, G: GFrame):
     X -= W @ (Uh @ (TG @ X - TF))
     tol = max(TOL_EQ, 16 * np.finfo(np.float64).eps * s[0] / s[r - 1]) if r else TOL_EQ
     e = exponent(TF)
-    err = block_norms(TG @ X - TF, F.block_dims)
-    if not within(np.ldexp(err, -e), tol, np.ldexp(block_norms(TF, F.block_dims), -e)):
+    err = np.ldexp(block_norms(TG @ X - TF, F.block_dims), -e)
+    if not within(err, tol, np.maximum(1.0, np.ldexp(block_norms(TF, F.block_dims), -e))):
         return None
     return X
 
@@ -134,12 +133,8 @@ def gram_characterization(F: GFrame, Th: GFrame, G: GFrame) -> bool:
     if not check_dual_pair(F, G):
         raise NotADual("G does not reconstruct against F")
     T_Th, T_G = analysis(Th), analysis(G)
-    # M1 and M2 are formed from T_Th and T_G scaled by one power of two
-    # a <= 1 that brings their parts below 1, and compared in units of a^2
-    a = 2.0 ** -max(0, exponent(T_Th), exponent(T_G))
-    if a < 1.0:
-        T_Th, T_G = T_Th * a, T_G * a
-    T_Th_h = T_Th.conj().T
-    M1 = T_Th_h @ T_Th
-    M2 = T_Th_h @ T_G
-    return within(fro(M1 - M2), TOL_EQ, fro(M1), a * a)
+    # T_Th†(T_Th - T_G), the two sides' difference, from both duals scaled by
+    # one power of two, at the scale ||T_Th||_F^2 >= ||T_Th† T_Th||_F: no floor
+    e = max(exponent(T_Th), exponent(T_G))
+    T_Th, T_G = ldexp(T_Th, -e), ldexp(T_G, -e)
+    return within(fro(T_Th.conj().T @ (T_Th - T_G)), TOL_EQ, fro(T_Th) ** 2)

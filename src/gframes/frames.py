@@ -120,8 +120,13 @@ class GFrame:
     def spectrum(self) -> tuple:
         """(sigma, V†, U) of a thin SVD T = U Sigma V† of the analysis
         operator: the min(m, n) singular values in descending order, the
-        rows of V† and the m x min(m, n) left factor U, all read-only."""
-        U, s, Vh = np.linalg.svd(self.matrix, full_matrices=False)
+        rows of V† and the m x min(m, n) left factor U, all read-only.
+        A T beyond LAPACK's unscaled range (_SVD_EXP) is factored as T 2^-e
+        and sigma scaled back, so 2^k T has the factor (2^k sigma, V†, U)."""
+        e = linalg.exponent(self.matrix)
+        e = e if abs(e) > _SVD_EXP else 0
+        U, s, Vh = np.linalg.svd(linalg.ldexp(self.matrix, -e), full_matrices=False)
+        s = np.ldexp(s, e)
         for A in (s, Vh, U):
             A.flags.writeable = False
         return s, Vh, U
@@ -227,6 +232,9 @@ def _times_inverse_root(F: GFrame, k: int) -> GFrame:
 
 
 _SQRT_MAX = float(np.sqrt(np.finfo(np.float64).max))
+# LAPACK's SVD rescales a matrix whose largest entry lies outside [2^-459, 2^459],
+# sqrt(tiny)/eps and its inverse, by a factor that is not a power of two
+_SVD_EXP = -int(np.frexp(np.sqrt(np.finfo(float).tiny) / np.finfo(float).eps)[1])
 
 
 def frame_bounds(F: GFrame, tol_eq: float = TOL_EQ) -> FrameBounds:

@@ -25,16 +25,13 @@ TOL_EQ = 1e-10
 TOL_FLOOR = 1e-9
 
 
-def within(measured, tol: float, scale=1.0, unit: float = 1.0) -> bool:
-    """The tolerance policy of every equality decision (tight and Parseval
-    bounds, orthonormal sets, dual pairs, biorthogonality, similarity, the
-    Gram characterization, unitary rotations, gavruta_check's premise and
-    the CLI's report thresholds): True when every entry of `measured` is at
-    most tol * max(unit, scale), so never for NaN.  The tolerance is relative
-    to the scale of the compared matrices, floored at 1, which is `unit` in
-    power-of-two units.  Only TOL_EQ can be replaced per call, by the
-    `tol_eq` of frame_bounds, classify, check_dual_pair and build_fock."""
-    return bool(np.all(measured <= tol * np.maximum(unit, scale)))
+def within(measured, tol: float, scale=1.0) -> bool:
+    """The tolerance rule of every equality decision: True when every entry
+    of `measured` is at most tol * scale, so never for NaN.  A decision whose
+    scale has a floor (gram_rules, check_similar) applies it at its call.
+    Only TOL_EQ can be replaced per call, by the `tol_eq` of frame_bounds,
+    classify, check_dual_pair and build_fock."""
+    return bool(np.all(measured <= tol * scale))
 
 
 def as_cmatrix(M) -> np.ndarray:
@@ -68,11 +65,17 @@ def exponent(M) -> int:
     return int(np.frexp(max(x.max(initial=0.0), -x.min(initial=0.0)))[1])
 
 
+def ldexp(M: np.ndarray, e: int) -> np.ndarray:
+    """M * 2^e (M itself for e = 0) for a C-contiguous complex M, through a
+    float64 view, so 2^e need not be a float; exact while parts stay normal."""
+    return np.ldexp(M.view(np.float64), e).view(np.complex128) if e else M
+
+
 def gram_rules(A: np.ndarray, B: np.ndarray, dims, tol: float) -> tuple:
     """(is_identity, near_identity) for the m x m Gram G = A B† in blocks of
     heights `dims`: whether every block G_jk is within tol of delta_jk I at
-    the scale ||G_jk||_F, and whether ||G - I||_F <= 1/2.  It is the one
-    identity rule: for orthonormal sets and biorthogonality blockwise, and
+    the scale max(1, ||G_jk||_F) and whether ||G - I||_F <= 1/2: the one
+    identity rule, for orthonormal sets and biorthogonality blockwise, and
     for dual pairs and unitaries as one block.
 
     G is formed once from A and B scaled by the powers of two a and b at
@@ -94,7 +97,7 @@ def gram_rules(A: np.ndarray, B: np.ndarray, dims, tol: float) -> tuple:
     ref2 = err2.copy()
     ref2[np.diag_indices(len(starts))] += np.add.reduceat(
         np.abs(g) ** 2 - np.abs(g - unit) ** 2, starts)
-    return (within(np.sqrt(err2), tol, np.sqrt(ref2), unit),
+    return (within(np.sqrt(err2), tol, np.maximum(unit, np.sqrt(ref2))),
             bool(np.sqrt(err2.sum()) <= 0.5 * unit))
 
 

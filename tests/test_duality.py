@@ -187,13 +187,9 @@ class TestSimilarity:
 @example(500, 0)
 def test_similarity_is_exact_under_powers_of_two(k, seed):
     """check_similar(2^k F, 2^k G) is check_similar(F, G) bit for bit, and a
-    pair off each other's range is refused at every k, with no warning.
-
-    X reads G's cached factor, which LAPACK's SVD scales exactly only while
-    T_G's entries lie within about 2^+-459: beyond, it rescales T_G by a
-    factor that is not a power of two.  So the factor of 2^k G is first
-    pinned to G's scaled exactly; with LAPACK's own factor, X is still the
-    same to rounding, and bit for bit wherever that factor scaled exactly."""
+    pair off each other's range is refused at every k, with no warning: X
+    reads G's cached factor, which scales exactly with T_G (see
+    GFrame.spectrum)."""
     rng = np.random.default_rng(seed)
     T = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
     Y = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -202,18 +198,9 @@ def test_similarity_is_exact_under_powers_of_two(k, seed):
     X = duality.check_similar(F, G)
     assert X is not None and duality.check_similar(H, G) is None
     c = 2.0 ** k
-    s, Vh, U = G.spectrum
     Gk = scaled(G, c)
-    Gk.__dict__["spectrum"] = (c * s, Vh, U)
     np.testing.assert_array_equal(duality.check_similar(scaled(F, c), Gk), X)
     assert duality.check_similar(scaled(H, c), Gk) is None
-    Gk = scaled(G, c)
-    Xk = duality.check_similar(scaled(F, c), Gk)
-    assert Xk is not None and duality.check_similar(scaled(H, c), Gk) is None
-    assert fro(Xk - X) <= 1e-13 * fro(X)
-    sk, Vhk, Uk = Gk.spectrum
-    if np.array_equal(sk, c * s) and np.array_equal(Vhk, Vh) and np.array_equal(Uk, U):
-        np.testing.assert_array_equal(Xk, X)
 
 
 class TestNormDecomposition:
@@ -262,14 +249,19 @@ class TestGramCharacterization:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @settings(max_examples=40, deadline=None)
-@given(st.integers(-500, 0))
+@given(st.integers(-500, 500))
 @example(-500)
 @example(-333)
+@example(20)
+@example(333)
+@example(500)
 def test_gram_characterization_on_large_duals(k):
-    """On the redundant frame scaled by 2^k, k <= 0, the Gram test tells
-    the canonical dual from the alternate one with no warning: M1 and M2 are
-    formed from duals scaled below 1, so ||M1||, about 4^-k, cannot
-    overflow (it did at 1e-100, k = -333)."""
+    """On the redundant frame scaled by 2^k, the Gram test tells the
+    canonical dual from the alternate one with no warning.  Its product is
+    formed from duals scaled by one power of two, so ||M1||, about 4^-k,
+    cannot overflow (it did at 1e-100, k = -333), and it is compared at the
+    scale ||T_Th||_F^2 with no floor at 1, which made the test vacuous from
+    k = 18 up."""
     F = redundant_frame(2.0 ** k)
     can = gf.canonical_dual(F)
     alt = gf.construct_alternate_dual(F, np.array([0.4, 0.9j, 0, 0, 1, 0, 0, -0.3]))

@@ -13,6 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import gframes as gf
 from gframes import duality, frame_io, frames, linalg, perturbation
@@ -567,3 +568,24 @@ class TestScale:
             assert rel(c * gf.canonical_dual(F).matrix, gf.canonical_dual(F1).matrix) <= 1e-13
         with pytest.raises(NonFinite, match="overflows"):
             gf.classify(gf.GFrame(4, tuple(1e160 * B for B in blocks)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-500, 500), st.integers(0, 2 ** 32 - 1))
+@example(-500, 0)
+@example(460, 0)
+@example(500, 0)
+def test_spectrum_is_exact_under_powers_of_two(k, seed):
+    """The bounds of 2^k F are exactly 4^k times those of F, and its
+    canonical dual exactly 2^-k times F's, with no warning: a T beyond
+    LAPACK's unscaled range is factored at unit scale, where LAPACK would
+    rescale it by a factor that is not a power of two."""
+    rng = np.random.default_rng(seed)
+    T = rng.standard_normal((6, 4)) + 1j * rng.standard_normal((6, 4))
+    F, Fk = gf.GFrame(4, tuple(np.split(T, 3))), gf.GFrame(4, tuple(np.split(2.0 ** k * T, 3)))
+    b, bk = gf.frame_bounds(F), gf.frame_bounds(Fk)
+    assert (bk.lower, bk.upper) == (4.0 ** k * b.lower, 4.0 ** k * b.upper)
+    assert (bk.is_frame, bk.is_tight) == (b.is_frame, b.is_tight)
+    np.testing.assert_array_equal(gf.canonical_dual(Fk).matrix,
+                                  2.0 ** -k * gf.canonical_dual(F).matrix)

@@ -886,6 +886,21 @@ class TestCli:
         assert cli.main([command, str(p)]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("command", ["alt-dual", "all"])
+    @pytest.mark.parametrize("c", [1e6, 1e10, 1e100])
+    def test_gram_check_on_large_frames(self, command, c, tmp_path, capsys):
+        """On the redundant frame at 1e6, 1e10 and 1e100 the duals are
+        small, and the Gram test, compared at the scale ||T_Th||_F^2 with no
+        floor at 1, tells the canonical dual from the alternate one.  The
+        exit code is not pinned: `differs_from_canonical` still compares
+        with an absolute threshold."""
+        p = tmp_path / "huge.frame"
+        frame_io.save(p, redundant_frame(c))
+        assert cli.main([command, str(p)]) in (0, 1)
+        passed = {x["name"]: x["pass"] for x in json.loads(capsys.readouterr().out)["checks"]}
+        assert passed["gram_distinguishes_canonical"]
+
     def test_reciprocal_bounds_measure_the_dual(self, mercedes_path, capsys,
                                                 monkeypatch):
         """A dual whose matrix is scaled by 1 + 1e-6 but which stores the

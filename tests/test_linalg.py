@@ -115,12 +115,17 @@ class TestExponent:
 
 
 class TestWithin:
-    """linalg.within: every entry of `measured` at most tol * max(1, scale)."""
+    """linalg.within: every entry of `measured` at most tol * scale, with no
+    floor.  The floors that gram_rules and check_similar apply at their calls
+    are pinned by every orthonormal-basis test and by the _similar_floor
+    site below."""
 
-    def test_floor_holds_below_scale_one(self):
-        for scale in (0.0, 2.0 ** -40, 0.5):
-            assert linalg.within(0.9e-10, 1e-10, scale)
-            assert not linalg.within(1.1e-10, 1e-10, scale)
+    def test_relative_below_scale_one(self):
+        for scale in (2.0 ** -1000, 2.0 ** -40, 0.5):
+            assert linalg.within(0.9e-10 * scale, 1e-10, scale)
+            assert not linalg.within(1.1e-10 * scale, 1e-10, scale)
+        assert linalg.within(0.0, 1e-10, 0.0)
+        assert not linalg.within(1e-300, 1e-10, 0.0)
 
     def test_relative_above_scale_one(self):
         for scale in (2.0, 2.0 ** 40):
@@ -129,18 +134,15 @@ class TestWithin:
 
     def test_elementwise_over_block_norms(self):
         scales = np.array([0.5, 1.0, 4.0])
-        assert linalg.within(np.array([1e-10, 1e-10, 4e-10]), 1e-10, scales)
-        assert not linalg.within(np.array([1e-10, 1e-10, 5e-10]), 1e-10, scales)
-        assert not linalg.within(np.array([2e-10, 1e-10, 1e-10]), 1e-10, scales)
+        assert linalg.within(np.array([0.5e-10, 1e-10, 4e-10]), 1e-10, scales)
+        assert not linalg.within(np.array([0.5e-10, 1e-10, 5e-10]), 1e-10, scales)
+        assert not linalg.within(np.array([0.6e-10, 1e-10, 1e-10]), 1e-10, scales)
 
-    def test_floor_is_unit_in_power_of_two_units(self):
-        unit = 2.0 ** -60   # the value of 1 in the units compared
-        for scale in (0.5 * unit, 4.0 * unit):
-            assert linalg.within(0.9e-10 * max(unit, scale), 1e-10, scale, unit)
-            assert not linalg.within(1.1e-10 * max(unit, scale), 1e-10, scale, unit)
-        # a unit that underflowed to 0 leaves the test relative
-        assert linalg.within(0.9e-10, 1e-10, 1.0, 0.0)
-        assert not linalg.within(1e-300, 1e-10, 0.0, 0.0)
+    def test_no_floor_below_scale_one(self):
+        """A defect below tol, at a scale below 1, is not within: the rule
+        has no floor at 1, in any units."""
+        for scale in (0.5, 2.0 ** -60, 0.0):
+            assert not linalg.within(0.9e-10, 1e-10, scale)
 
     def test_nan_is_never_within(self):
         assert not linalg.within(np.nan, 1e-10)
@@ -170,9 +172,9 @@ def _dual_pair(factor, c):
 
 
 def _gram(factor, c):
-    # Th = G + e_N g† with G the canonical dual, so M1 - M2 = g g†, of norm
-    # |g|^2, and M1 = I / c^2 + g g†
-    g2 = factor * linalg.TOL_EQ * max(1.0, np.sqrt(N) / c ** 2)
+    # Th = G + e_N g† with G the canonical dual, so T_Th†(T_Th - T_G) = g g†,
+    # of norm |g|^2, at the scale ||T_Th||_F^2 = N / c^2 + |g|^2, no floor
+    g2 = factor * linalg.TOL_EQ * N / c ** 2
     F, G = _frame(np.eye(N), c), _frame(np.eye(N), 1 / c)
     T = G.matrix.copy()
     T[N, 0] = np.sqrt(g2)
@@ -200,6 +202,18 @@ def _similar(factor, c):
     return gf.duality.check_similar(F, G) is not None
 
 
+def _similar_floor(factor, c):
+    # F is G plus d in a one-row block of its own, where G is 0: that block's
+    # residual is d, all of ||F_2||, so only the floor 2c, T_F's power-of-two
+    # unit, accepts it
+    d = factor * linalg.TOL_EQ * 2 * c
+    TG = c * np.vstack([np.eye(N), np.zeros((1, N))])
+    TF = TG.copy()
+    TF[N, 0] = d
+    G, F = GFrame._from_matrix(TG, (N, 1)), GFrame._from_matrix(TF, (N, 1))
+    return gf.duality.check_similar(F, G) is not None
+
+
 def _tight(factor, c):
     # (sigma_min / sigma_max)^2 = 1 - delta
     delta = factor * linalg.TOL_EQ
@@ -219,7 +233,8 @@ def _gavruta(factor, c):
 
 # check_unitary compares with the identity, which has no scale
 _SITES = [(_dual_pair, (-40, 40)), (_gram, (-40, 40)), (_unitary, (0,)),
-          (_similar, (-40, -4, 40)), (_tight, (-40, 40)), (_gavruta, (-40, 40))]
+          (_similar, (-40, -4, 40)), (_similar_floor, (-40, 40)), (_tight, (-40, 40)),
+          (_gavruta, (-40, 40))]
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -229,6 +244,6 @@ _SITES = [(_dual_pair, (-40, 40)), (_gram, (-40, 40)), (_unitary, (0,)),
 def test_each_decision_sits_on_its_threshold(site, k, factor):
     """Each equality decision accepts a defect of half its threshold and
     rejects one of twice it, at frames scaled by 2^k: the threshold is the
-    rule's tol * max(1, scale) with the site's scale, and TOL_FLOOR for the
-    Gavruta premise."""
+    rule's tol * scale with the site's scale, floored at the unit for the
+    identity and similarity sites, and TOL_FLOOR for the Gavruta premise."""
     assert site(factor, 2.0 ** k) == (factor < 1.0)
