@@ -14,9 +14,14 @@ import contextlib
 import hashlib
 import io
 import os
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
+
+# this checkout's package, ahead of any installed gframes
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from gframes import GFrame, cli, frame_io, make_gon_basis, make_griesz
 from gframes.linalg import random_unitary

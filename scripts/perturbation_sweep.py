@@ -6,8 +6,13 @@ rotated family.
 Usage: python3 scripts/perturbation_sweep.py [--n 6] [--steps 12] [--seed 0]
 """
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
+
+# this checkout's package, ahead of any installed gframes
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import gframes as gf
 

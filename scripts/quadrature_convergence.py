@@ -12,8 +12,13 @@ already exact to round-off at radial >= ceil(m/2) and angular >= m.
 Usage: python3 scripts/quadrature_convergence.py [--levels 4] [--blocks 3]
 """
 import argparse
+import sys
+from pathlib import Path
 
 import numpy as np
+
+# this checkout's package, ahead of any installed gframes
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import gframes as gf
 from gframes import coherent

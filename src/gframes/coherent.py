@@ -143,10 +143,12 @@ def _intensity(z: complex) -> float:
 
 
 def truncation_defect(z: complex, w: complex, K: int, L: int) -> float:
-    """Exact discarded mass of the double series truncated at (K, L)."""
-    pz = 1.0 - tail_mass(K - 1, _intensity(z))
-    pw = 1.0 - tail_mass(L - 1, _intensity(w))
-    return float(1.0 - pz * pw)
+    """Discarded mass of the double series truncated at (K, L):
+    1 - (1 - t_z)(1 - t_w) for the tails t_z and t_w, summed as
+    t_z + t_w - t_z t_w so that a small defect keeps its relative accuracy."""
+    tz = tail_mass(K - 1, _intensity(z))
+    tw = tail_mass(L - 1, _intensity(w))
+    return tz + tw - tz * tw
 
 
 def required_truncation(z: complex, w: complex, defect_max: float):

@@ -72,19 +72,17 @@ def construct_alternate_dual(F: GFrame, g0, seed: int = 0) -> GFrame:
 def check_similar(F: GFrame, G: GFrame):
     """X with F_j = G_j X for all j, or None.
 
-    X is the least-squares solution T_G^+ T_F, invertible when F is
-    complete and singular otherwise, formed as V_r Sigma_r^{-1} U_r† T_F
-    with the whitening W = V_r Sigma_r^{-1} and the range basis U_r from
-    G's cached factor, plus one step of refinement on the residual.  F is
-    never factored.  The residual decides: F is similar when every block
+    X is the least-squares solution T_G^+ T_F = V_r Sigma_r^{-1} U_r† T_F,
+    formed once from G's cached factor; F is never factored.  The residual
+    T_G X - T_F, also formed once, decides: F is similar when every block
     ||G_j X - F_j|| is within tol of max(2^e, ||F_j||), in units of T_F's
     power-of-two unit 2^e (see exponent), so scaling F and G by one power
     of two changes no number compared.  The tolerance is max(TOL_EQ,
     16 eps cond(T_G)), with cond(T_G) from G's cached sigma: an exact X
-    carries W's round-off, about eps cond(T_G).  The check stays real for
-    a canonical dual G, whose cached factor is its frame's rather than its
-    own.  No product squares Sigma or T, so neither can overflow or
-    underflow where T itself does not.
+    carries the round-off of Sigma_r^{-1}, about eps cond(T_G).  The check
+    stays real for a canonical dual G, whose cached factor is its frame's
+    rather than its own.  No product squares Sigma or T, so neither can
+    overflow or underflow where T itself does not.
     """
     if not F.same_shape(G):
         raise ShapeMismatch("similarity check needs identical block shapes")
@@ -92,10 +90,7 @@ def check_similar(F: GFrame, G: GFrame):
     UG = G.range_basis()
     s, Vh, _ = G.spectrum
     r = UG.shape[1]
-    W = Vh[:r].conj().T / s[:r]
-    Uh = UG.conj().T
-    X = W @ (Uh @ TF)
-    X -= W @ (Uh @ (TG @ X - TF))
+    X = (Vh[:r].conj().T / s[:r]) @ (UG.conj().T @ TF)
     tol = max(TOL_EQ, 16 * np.finfo(np.float64).eps * s[0] / s[r - 1]) if r else TOL_EQ
     e = exponent(TF)
     err = np.ldexp(block_norms(TG @ X - TF, F.block_dims), -e)

@@ -3,13 +3,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import gframes as gf
-from gframes import GFrame, duality
+from gframes import GFrame, duality, linalg
 from gframes.errors import IsRieszBasis, NotADual, ZeroProbe
 from gframes.frames import analysis
-from gframes.linalg import fro
+from gframes.linalg import fro, random_unitary
 
-from conftest import (count_decompositions, random_frame, random_gon, random_riesz,
-                      redundant_frame)
+from conftest import (conditioned_frame, count_decompositions, random_frame, random_gon,
+                      random_riesz, redundant_frame)
 
 
 def scaled(F, c):
@@ -201,6 +201,41 @@ def test_similarity_is_exact_under_powers_of_two(k, seed):
     Gk = scaled(G, c)
     np.testing.assert_array_equal(duality.check_similar(scaled(F, c), Gk), X)
     assert duality.check_similar(scaled(H, c), Gk) is None
+
+
+def _similarity_margin(F, G):
+    """The largest blockwise residual of check_similar(F, G)'s X over its
+    threshold tol * max(2^e, ||F_j||), with the rule's tol and units."""
+    X = duality.check_similar(F, G)
+    assert X is not None
+    s, r = G.spectrum[0], G.rank()
+    tol = max(linalg.TOL_EQ, 16 * np.finfo(np.float64).eps * s[0] / s[r - 1])
+    e = linalg.exponent(F.matrix)
+    err = np.ldexp(linalg.block_norms(G.matrix @ X - F.matrix, F.block_dims), -e)
+    scale = np.maximum(1.0, np.ldexp(linalg.block_norms(F.matrix, F.block_dims), -e))
+    return float(np.max(err / (tol * scale)))
+
+
+@pytest.mark.parametrize("kappa", [1e2, 1e4, 1e6, 1e8, 1e10])
+def test_one_solve_leaves_a_tenfold_margin(kappa):
+    """check_similar's single least-squares solve, with no refinement, puts
+    every blockwise residual below a tenth of its threshold: on G =
+    conditioned_frame(kappa) with F = G X0 for cond(X0) = 1, 1e3 and 1e6,
+    and, where G is a frame (kappa < 1e6), on the canonical-dual pairs
+    (D, G), (G, D) and (F, D), whose D borrows G's cached factor.  The
+    worst is about 0.02, at kappa = 1e4.  Where the tolerance is
+    16 eps cond(T_G) (kappa above about 3e4), (D, G) reads about 0.09 at
+    kappa = 1e5 (a residual of about 1.5 eps cond(T_G)), which a refinement
+    step lowers only to about 0.08."""
+    G = conditioned_frame(kappa)
+    D = gf.canonical_dual(G) if gf.classify(G).is_frame else None
+    pairs = [(D, G), (G, D)] if D else []
+    rng = np.random.default_rng(7)
+    for cond in (1.0, 1e3, 1e6):
+        X0 = (random_unitary(16, rng) * np.geomspace(1.0, 1.0 / cond, 16)) @ random_unitary(16, rng)
+        F = GFrame._from_matrix(G.matrix @ X0, G.block_dims)
+        pairs += [(F, G), (F, D)] if D else [(F, G)]
+    assert max(_similarity_margin(*pair) for pair in pairs) <= 0.1
 
 
 class TestNormDecomposition:

@@ -214,6 +214,28 @@ def _similar_floor(factor, c):
     return gf.duality.check_similar(F, G) is not None
 
 
+def _biorthogonal(factor, c):
+    # T_G T_F† = diag(1 + eps, 1, ...) for F = c I and G = diag(1 + eps, 1,
+    # ...) / c in two blocks of N / 2 rows: the first block's defect eps
+    # against its norm sqrt(N / 2) = 2, to 1e-10
+    eps = factor * linalg.TOL_EQ * 2
+    F = GFrame(N, tuple(np.split(c * np.eye(N), 2)))
+    return gf.check_biorthogonal(F, GFrame(N, tuple(np.split(_diag(1.0 + eps) / c, 2))))
+
+
+def _rank(factor, c):
+    # sigma_min = factor * TOL_RANK * sigma_max: True when the rank rule
+    # counts it as zero, so the frame is not complete
+    return not gf.classify(_frame(_diag(factor * linalg.TOL_RANK), c)).is_complete
+
+
+def _parseval(factor, c):
+    # every sigma^2 is 1 + delta, so the frame is tight and the lower bound
+    # is 1 + delta
+    delta = factor * linalg.TOL_EQ
+    return gf.frame_bounds(_frame(np.sqrt(1.0 + delta) * np.eye(N), c)).is_parseval
+
+
 def _tight(factor, c):
     # (sigma_min / sigma_max)^2 = 1 - delta
     delta = factor * linalg.TOL_EQ
@@ -231,10 +253,12 @@ def _gavruta(factor, c):
     return True
 
 
-# check_unitary compares with the identity, which has no scale
+# check_unitary compares with the identity and Parseval's rule with a bound
+# of 1, neither of which has a scale
 _SITES = [(_dual_pair, (-40, 40)), (_gram, (-40, 40)), (_unitary, (0,)),
           (_similar, (-40, -4, 40)), (_similar_floor, (-40, 40)), (_tight, (-40, 40)),
-          (_gavruta, (-40, 40))]
+          (_gavruta, (-40, 40)), (_biorthogonal, (-40, 40)), (_rank, (-40, 40)),
+          (_parseval, (0,))]
 
 
 @pytest.mark.parametrize("factor", [0.5, 2.0])
@@ -245,5 +269,7 @@ def test_each_decision_sits_on_its_threshold(site, k, factor):
     """Each equality decision accepts a defect of half its threshold and
     rejects one of twice it, at frames scaled by 2^k: the threshold is the
     rule's tol * scale with the site's scale, floored at the unit for the
-    identity and similarity sites, and TOL_FLOOR for the Gavruta premise."""
+    identity and similarity sites, and TOL_FLOOR for the Gavruta premise.
+    The rank rule counts a singular value of half TOL_RANK * sigma_max as
+    zero and one of twice it as nonzero."""
     assert site(factor, 2.0 ** k) == (factor < 1.0)
