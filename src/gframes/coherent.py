@@ -29,6 +29,8 @@ from .errors import (
 from .frames import GFrame, _is_on_basis, _spectral_rules, analysis
 from .linalg import TOL_EQ, exponent
 
+DEFECT_MAX = 1e-10   # every builder's budget: the uncertainty checks need it this tight
+
 
 @dataclass(frozen=True)
 class FockStructure:
@@ -51,7 +53,7 @@ class _Ladder:
     ã is the truncated lowering map of `_lower` on the coefficient index
     l*K + k.  On the Fock columns, left = right = C, it is a ladder operator
     of the pair; `@` applies it to a vector or an n x k matrix in O(n K L k)
-    work and `dense()` forms it as an n x n array."""
+    work and `dense()` forms it as an n x n array, copying neither factor."""
 
     left: np.ndarray
     right: np.ndarray
@@ -69,7 +71,9 @@ class _Ladder:
         return self.left @ out
 
     def dense(self) -> np.ndarray:
-        return _lower(self.left, self.K, self.L, self.axis) @ self.right.conj().T
+        M = _lower(self.left, self.K, self.L, self.axis)
+        M = np.conj(M, out=M) @ self.right.T   # (left ã right†)^*, in place
+        return np.conj(M, out=M)
 
 
 @dataclass(frozen=True)
@@ -232,7 +236,7 @@ def build_fock(gon: GFrame, tol_eq: float = TOL_EQ) -> FockStructure:
 
 
 def coherent_state(fs: FockStructure, z: complex, w: complex,
-                   defect_max: float = 1e-8) -> CoherentState:
+                   defect_max: float = DEFECT_MAX) -> CoherentState:
     """Renormalized truncated coherent state at labels (z, w)."""
     c, defect = _checked_coefficients(z, w, fs.K, fs.L, defect_max)
     v = _unit(fs.basis_columns @ c)
@@ -335,7 +339,7 @@ def quadrature_identity(fs: FockStructure, radial_nodes: int,
 
 
 def uncertainty_product(fs: FockStructure, z: complex, w: complex,
-                        defect_max: float = 1e-10):
+                        defect_max: float = DEFECT_MAX):
     """Uncertainty products (dq_a * dp_a, dq_b * dp_b) for the quadrature
     observables of the lowering pair, evaluated on the truncated state.
     Both converge to 1/2 as the defect vanishes."""
@@ -362,7 +366,7 @@ def uncertainty_product(fs: FockStructure, z: complex, w: complex,
 
 
 def bicoherent_family(riesz: GFrame, z: complex, w: complex,
-                      defect_max: float = 1e-10) -> BicoherentFamily:
+                      defect_max: float = DEFECT_MAX) -> BicoherentFamily:
     """Coherent triple over a Riesz operator basis.
 
     Everything comes from one thin SVD T = W Σ V† of the stacked blocks.  The
@@ -389,14 +393,10 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
     P_cols = (Vh.conj().T / s) @ W.conj().T
     # no product below needs the factors
     del W, Vh
-    # X a X^{-1} = U ã P† and X^{-1} a X = P ã U†, since X is Hermitian,
-    # with P† formed once and U† = T read in place.  X is formed last, so
-    # the peak is eight n x n arrays: the other seven outputs and the
-    # shifted left factor of the last ladder product
-    P_h = P_cols.conj().T
-    a_riesz, b_riesz = (_lower(U_cols, K, L, axis) @ P_h for axis in "ab")
-    del P_h
-    a_up, b_up = (_lower(P_cols, K, L, axis) @ T for axis in "ab")
+    # X a X^{-1} = U ã P† and X^{-1} a X = P ã U† (X is Hermitian); X is last,
+    # so the peak is eight n x n arrays: seven outputs and one shifted factor
+    a_riesz, b_riesz = (_Ladder(U_cols, P_cols, K, L, axis).dense() for axis in "ab")
+    a_up, b_up = (_Ladder(P_cols, U_cols, K, L, axis).dense() for axis in "ab")
     X = C @ T   # V W† W Σ V† = V Σ V†
 
     phi_up = P_cols @ c

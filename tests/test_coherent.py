@@ -2,7 +2,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 from scipy.special import factorial, gammainc, gammaincc, roots_laguerre
 
 import gframes as gf
@@ -46,6 +46,16 @@ def dense_lowering(K, L):
     a1 = np.diag(np.sqrt(np.arange(1, K)), 1)
     b1 = np.diag(np.sqrt(np.arange(1, L)), 1)
     return np.kron(np.eye(L), a1), np.kron(b1, np.eye(K))
+
+
+def radius_at(defect, m):
+    """The |z| at which the tail mass past m levels is `defect`, by
+    bisection: the tail grows with |z|, and at |z| = m + 1 it exceeds 1/2."""
+    lo, hi = 0.0, m + 1.0
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if coherent.tail_mass(m - 1, mid ** 2) < defect else (lo, mid)
+    return lo
 
 
 class TestBuildFock:
@@ -222,6 +232,27 @@ class TestCoherentState:
                 build()
             assert exc.value.required_k > 10
 
+    @pytest.mark.parametrize("build", ["coherent_state", "uncertainty_product",
+                                       "bicoherent_family"])
+    def test_one_default_budget(self, build, rng):
+        """Every builder refuses a label by the same default budget, 1e-10:
+        at w = 0 a label whose defect is half of it is accepted, and one
+        whose defect is twice it raises, naming the budget."""
+        budget = 1e-10
+        K, L = 4, 3
+        if build == "bicoherent_family":
+            arg, _ = random_riesz(rng, K * L, (K,) * L)
+        else:
+            arg = gf.build_fock(random_gon(rng, K * L, (K,) * L))
+        for defect in (0.5 * budget, 2.0 * budget):
+            z = radius_at(defect, K)
+            assert gf.truncation_defect(z, 0.0, K, L) == pytest.approx(defect, rel=1e-9)
+            if defect < budget:
+                getattr(gf, build)(arg, z, 0.0)
+            else:
+                with pytest.raises(TruncationTooSevere, match=r"exceeds 1\.0e-10"):
+                    getattr(gf, build)(arg, z, 0.0)
+
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("z", [38.0, 40.0, 1e200])
     @pytest.mark.parametrize("build", ["coherent_state", "uncertainty_product",
@@ -336,6 +367,32 @@ class TestLadderOps:
         bound = abs(z) * abs(c[fs.K - 1]) / np.linalg.norm(c)
         assert resid == pytest.approx(bound, rel=1e-9)
         assert resid <= 1e-10
+
+    @seed(2701)
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from([(8, 8), (4, 6), (6, 3), (12, 2), (2, 12)]),
+           st.floats(0.0, 1.0), st.floats(0.0, 1.0),
+           st.floats(0.0, 2.0 * np.pi), st.floats(0.0, 2.0 * np.pi),
+           st.integers(0, 2 ** 32 - 1))
+    def test_eigen_residual_closed_form(self, shape, rz, rw, phase_z, phase_w, rng_seed):
+        """With coefficients c_kl = alpha_k beta_l, ã leaves only the top
+        level k = K-1 unmatched, so ||(a - z) v|| = |z| sqrt(p / (1 - t_z))
+        for the Poisson weight p = e^{-|z|^2} |z|^{2(K-1)} / (K-1)! and the
+        tail t_z past K levels, whatever w is; b obeys the same form in
+        (w, L).  Labels are drawn within the default budget."""
+        K, L = shape
+        fs = gf.build_fock(random_gon(np.random.default_rng(rng_seed), K * L, (K,) * L))
+        # each tail at most half the budget, so the defect is within it
+        z = rz * radius_at(coherent.DEFECT_MAX / 2.0, K) * np.exp(1j * phase_z)
+        w = rw * radius_at(coherent.DEFECT_MAX / 2.0, L) * np.exp(1j * phase_w)
+        v = gf.coherent_state(fs, z, w).vector
+        ops = gf.ladder_ops(fs)
+        for op, x, m in ((ops.a, z, K), (ops.b, w, L)):
+            t = abs(x) ** 2
+            p = np.exp(-t) * t ** (m - 1) / factorial(m - 1)
+            form = abs(x) * np.sqrt(p / (1.0 - coherent.tail_mass(m - 1, t)))
+            resid = np.linalg.norm(op @ v - x * v)
+            assert resid == pytest.approx(form, rel=1e-9, abs=1e-14)
 
 
 class TestQuadratureIdentity:
@@ -652,7 +709,7 @@ class TestWorkingSet:
         peak, _ = traced_peak(lambda: gf.bicoherent_family(riesz, 0.3, 0.2))
         # seven of the eight arrays it returns and the shifted operand of
         # its last ladder product: W and V† are released before the first
-        # product, P† before the inverse-factor products, and X is last
+        # product, each product conjugates in place, and X is last
         assert peak <= 8.1 * self.UNIT
 
     def test_ladder_ops(self, rng):
@@ -667,6 +724,13 @@ class TestWorkingSet:
         # only vectors: the pair holds C by reference and C† v is formed
         # without copying C
         assert peak < 0.1 * self.UNIT
+
+    def test_ladder_dense(self, rng):
+        ops = gf.ladder_ops(gf.build_fock(random_gon(rng, self.N, (self.K,) * self.L)))
+        for op in (ops.a, ops.b):
+            peak, _ = traced_peak(op.dense)
+            # the result and the shifted columns: C† is never copied
+            assert peak <= 2.1 * self.UNIT
 
     def test_quadrature_identity(self, rng):
         fs = gf.build_fock(random_gon(rng, self.N, (self.K,) * self.L))

@@ -577,6 +577,26 @@ class TestCli:
                 assert code == 3 and captured.out == ""
                 assert json.loads(captured.err)["error"] == "TruncationTooSevere"
 
+    def test_label_over_the_budget_is_refused_by_every_check(self, tmp_path, capsys):
+        """On the rotated basis in 8 blocks of 8 that CI's smoke step uses,
+        --z=0.53 has a defect of 7.5e-10, over the one budget of 1e-10:
+        --check eigen, --check uncertainty and both refuse it alike, with
+        exit 3, the same error and nothing on stdout."""
+        p = tmp_path / "gon64.frame"
+        rotation = linalg.random_unitary(64, np.random.default_rng(1))
+        frame_io.save(p, gf.make_gon_basis(64, (8,) * 8, rotation=rotation))
+        errors = []
+        for checks in (["eigen"], ["uncertainty"], ["eigen", "uncertainty"]):
+            argv = ["coherent", str(p), "--z=0.53"]
+            code = cli.main(argv + [a for c in checks for a in ("--check", c)])
+            captured = capsys.readouterr()
+            assert code == 3 and captured.out == ""
+            errors.append(captured.err)
+        assert errors[0] == errors[1] == errors[2]
+        assert json.loads(errors[0]) == {
+            "error": "TruncationTooSevere",
+            "detail": "defect 7.492e-10 exceeds 1.0e-10; need K >= 9, L >= 1"}
+
     @pytest.mark.parametrize("command", ["all", "dual"])
     def test_overflowing_canonical_dual_is_numerical(self, command, tmp_path, capsys):
         """Two 1 x 1 blocks [[2.5e-316]]: a frame whose canonical dual, about
