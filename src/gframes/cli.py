@@ -166,7 +166,7 @@ def run_perturb(args, doc, frame, other):
 def run_coherent(args, doc, frame):
     from . import coherent
 
-    fs = coherent.build_fock(frame, tol_eq=max(args.tol, TOL_FLOOR))
+    fs = coherent.build_fock(frame)
     doc["fock"] = {"K": fs.K, "L": fs.L}
     z, w = args.z, args.w
     checks = args.check or ["identity"]

@@ -27,7 +27,7 @@ from .errors import (
     TruncationTooSevere,
 )
 from .frames import GFrame, _is_on_basis, _spectral_rules, analysis
-from .linalg import TOL_EQ, exponent
+from .linalg import exponent
 
 DEFECT_MAX = 1e-10   # every builder's budget: the uncertainty checks need it this tight
 
@@ -226,11 +226,12 @@ def _levels(dims) -> tuple:
     return dims[0], len(dims)
 
 
-def build_fock(gon: GFrame, tol_eq: float = TOL_EQ) -> FockStructure:
+def build_fock(gon: GFrame) -> FockStructure:
     """Arrange an orthonormal operator basis with uniform block dimension K
-    into the two-index Fock column matrix."""
+    into the two-index Fock column matrix; the basis must pass _is_on_basis,
+    so the columns C are unitary to TOL_EQ."""
     K, L = _levels(gon.block_dims)
-    if not _is_on_basis(gon, tol_eq):
+    if not _is_on_basis(gon):
         raise NotOnBasis("build_fock requires an orthonormal operator basis")
     return FockStructure(K=K, L=L, basis_columns=analysis(gon).conj().T)
 
@@ -344,7 +345,7 @@ def uncertainty_product(fs: FockStructure, z: complex, w: complex,
     observables of the lowering pair, evaluated on the truncated state.
     Both converge to 1/2 as the defect vanishes."""
     # the state is v = C c / ||C c||, and C is unitary to build_fock's
-    # tol_eq, so C† v = c / ||c|| to that tolerance: no n-vector is formed
+    # TOL_EQ, so C† v = c / ||c|| to that tolerance: no n-vector is formed
     c = _unit(_checked_coefficients(z, w, fs.K, fs.L, defect_max)[0])
     index = np.arange(fs.K * fs.L)
     power = np.abs(c) ** 2

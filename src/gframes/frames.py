@@ -26,6 +26,7 @@ from .errors import (
     NonFinite,
     NotAFrame,
     NotOnBasis,
+    NotUnitary,
     ShapeMismatch,
     Singular,
 )
@@ -272,17 +273,15 @@ def parseval_transform(F: GFrame) -> GFrame:
     return _times_inverse_root(F, 1)
 
 
-def _is_on_basis(F: GFrame, tol_eq: float) -> bool:
-    """classify(F, tol_eq).is_on_basis, with no decomposition in the usual
-    case: a square T with ||T T† - I||_F <= 1/2 has every sigma^2 in
-    [1/2, 3/2], so (sigma_min / sigma_max)^2 >= 1/3 and T has full rank,
-    and classify's frame and rank rules hold.  Any other orthonormal set
-    is classified."""
+def _is_on_basis(F: GFrame) -> bool:
+    """classify(F).is_on_basis, the package's one orthonormal-basis rule,
+    with no decomposition: T is square and its blocks pass gram_rules at
+    TOL_EQ.  Then, with J blocks and m rows, ||T T† - I||_F <= TOL_EQ (J +
+    sqrt(m)) / (1 - TOL_EQ), far below 1/2, so every sigma^2 lies in [1/2,
+    3/2], (sigma_min / sigma_max)^2 >= 1/3 and T has full rank: classify's
+    frame and rank rules hold."""
     T = F.matrix
-    if T.shape[0] != T.shape[1]:
-        return False
-    is_on_set, near_identity = gram_rules(T, T, F.block_dims, tol_eq)
-    return is_on_set and (near_identity or classify(F, tol_eq).is_on_basis)
+    return T.shape[0] == T.shape[1] and gram_rules(T, T, F.block_dims, TOL_EQ)
 
 
 def classify(F: GFrame, tol_eq: float = TOL_EQ) -> Classification:
@@ -300,7 +299,7 @@ def classify(F: GFrame, tol_eq: float = TOL_EQ) -> Classification:
     rank = F.rank()
     n, m = F.hilbert_dim, F.total_dim
     is_riesz = bounds.is_frame and rank == m
-    is_on_set = m <= n and gram_rules(F.matrix, F.matrix, F.block_dims, tol_eq)[0]
+    is_on_set = m <= n and gram_rules(F.matrix, F.matrix, F.block_dims, tol_eq)
     return Classification(
         is_bessel=True,  # finite families always admit an upper bound
         is_frame=bounds.is_frame,
@@ -316,7 +315,7 @@ def check_dual_pair(F: GFrame, G: GFrame, tol_eq: float = TOL_EQ) -> bool:
     if not F.same_shape(G):
         raise ShapeMismatch("dual-pair check needs identical block shapes")
     # the Gram T_G^T conj(T_F), the conjugate of T_G† T_F
-    return gram_rules(G.matrix.T, F.matrix.T, (F.hilbert_dim,), tol_eq)[0]
+    return gram_rules(G.matrix.T, F.matrix.T, (F.hilbert_dim,), tol_eq)
 
 
 def check_biorthogonal(F: GFrame, G: GFrame) -> bool:
@@ -326,35 +325,37 @@ def check_biorthogonal(F: GFrame, G: GFrame) -> bool:
         raise ShapeMismatch("biorthogonality check needs identical block shapes")
     if F.total_dim > F.hilbert_dim:
         return False
-    return gram_rules(G.matrix, F.matrix, F.block_dims, TOL_EQ)[0]
+    return gram_rules(G.matrix, F.matrix, F.block_dims, TOL_EQ)
 
 
 def make_gon_basis(n: int, dims, rotation=None) -> GFrame:
     """Coordinate-slicing orthonormal operator basis, optionally composed with
-    a unitary rotation: block j takes rows offset..offset+d_j of U."""
+    a unitary rotation: block j takes rows offset..offset+d_j of U, and the
+    family must pass _is_on_basis (for one block, U U† = I, as U†U = I)."""
     dims = tuple(int(d) for d in dims)
     if sum(dims) != n:
         raise DimensionMismatch(f"sum of block dims {sum(dims)} != {n}")
-    if rotation is None:
-        U = np.eye(n, dtype=np.complex128)
-    else:
-        U = linalg.check_unitary(rotation)
-        if U.shape[0] != n:
-            raise DimensionMismatch("rotation size does not match hilbert_dim")
-        U = U.copy()
-    return GFrame._from_matrix(U, dims)
+    U = np.eye(n, dtype=np.complex128) if rotation is None else as_cmatrix(rotation).copy()
+    if U.shape[0] != U.shape[1]:
+        raise NotUnitary("unitary matrix must be square")
+    if U.shape[0] != n:
+        raise DimensionMismatch("rotation size does not match hilbert_dim")
+    F = GFrame._from_matrix(U, dims)
+    if rotation is not None and not _is_on_basis(F):
+        raise NotUnitary("the rotated blocks are not orthonormal within tolerance")
+    return F
 
 
 def make_griesz(gon: GFrame, X) -> GFrame:
     """Riesz operator basis theta_j X from an orthonormal operator basis and an
     invertible X, which must pass the frame rule of `_spectral_rules` as
     `classify` reads it.  Bounds land in [||X^{-1}||^{-2}, ||X||^2]."""
-    if not _is_on_basis(gon, TOL_EQ):
+    if not _is_on_basis(gon):
         raise NotOnBasis("make_griesz requires an orthonormal operator basis")
     A = as_cmatrix(X)
     if A.shape != (gon.hilbert_dim, gon.hilbert_dim):
         raise DimensionMismatch("X must be square of size hilbert_dim")
-    s = np.linalg.svd(A, compute_uv=False)
-    if not _spectral_rules(s, gon.hilbert_dim)[1]:
-        raise Singular(f"condition number {s[0] / max(s[-1], 1e-300):.3e} too large")
+    ratio2, is_frame, _ = _spectral_rules(np.linalg.svd(A, compute_uv=False), A.shape[0])
+    if not is_frame:
+        raise Singular(f"X has (sigma_min / sigma_max)^2 = {ratio2:.3e}, not above {TOL_PD}")
     return GFrame._from_matrix(gon.matrix @ A, gon.block_dims)

@@ -1,5 +1,6 @@
 """Dense complex-matrix substrate: the tolerance policy, the scale rule, the
-identity Gram rule, norms and random unitaries.
+identity Gram rule (behind every orthonormal-set, orthonormal-basis,
+biorthogonality and dual-pair decision), norms and random unitaries.
 
 All tolerances are relative to the scale of the input (largest singular value
 or Frobenius norm); absolute tolerances are never used, so every routine is
@@ -9,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NonFinite, NotUnitary
+from .errors import NonFinite
 
 # frame rule: (sigma_min / sigma_max)^2 > TOL_PD, which make_griesz also
 # applies to the singular values of X
@@ -18,10 +19,10 @@ TOL_PD = 1e-12
 TOL_RANK = 1e-10
 # equality rules (see within)
 TOL_EQ = 1e-10
-# floor on the equality tolerance where the family tested carries the
-# round-off of a computation (an alternate dual, the rotated orthonormal
-# basis of the CLI's coherent suite), which a tighter TOL_EQ would reject;
-# also the slack gavruta_check allows the measured premise constant over m
+# floor on the equality tolerance of the CLI's alternate-dual check, whose
+# dual carries the round-off of its construction, which a tighter TOL_EQ
+# would reject; also the slack gavruta_check allows the measured premise
+# constant over m
 TOL_FLOOR = 1e-9
 
 
@@ -30,7 +31,7 @@ def within(measured, tol: float, scale=1.0) -> bool:
     of `measured` is at most tol * scale, so never for NaN.  A decision whose
     scale has a floor (gram_rules, check_similar) applies it at its call.
     Only TOL_EQ can be replaced per call, by the `tol_eq` of frame_bounds,
-    classify, check_dual_pair and build_fock."""
+    classify and check_dual_pair."""
     return bool(np.all(measured <= tol * scale))
 
 
@@ -71,12 +72,11 @@ def ldexp(M: np.ndarray, e: int) -> np.ndarray:
     return np.ldexp(M.view(np.float64), e).view(np.complex128) if e else M
 
 
-def gram_rules(A: np.ndarray, B: np.ndarray, dims, tol: float) -> tuple:
-    """(is_identity, near_identity) for the m x m Gram G = A B† in blocks of
-    heights `dims`: whether every block G_jk is within tol of delta_jk I at
-    the scale max(1, ||G_jk||_F) and whether ||G - I||_F <= 1/2: the one
-    identity rule, for orthonormal sets and biorthogonality blockwise, and
-    for dual pairs and unitaries as one block.
+def gram_rules(A: np.ndarray, B: np.ndarray, dims, tol: float) -> bool:
+    """Whether the m x m Gram G = A B†, in blocks of heights `dims`, has
+    every block G_jk within tol of delta_jk I at the scale max(1, ||G_jk||_F):
+    the one identity rule, for orthonormal sets and biorthogonality
+    blockwise, and for dual pairs as one block.
 
     G is formed once from A and B scaled by the powers of two a and b at
     most 1 that bring their largest real and imaginary parts below 1 (see
@@ -97,19 +97,7 @@ def gram_rules(A: np.ndarray, B: np.ndarray, dims, tol: float) -> tuple:
     ref2 = err2.copy()
     ref2[np.diag_indices(len(starts))] += np.add.reduceat(
         np.abs(g) ** 2 - np.abs(g - unit) ** 2, starts)
-    return (within(np.sqrt(err2), tol, np.maximum(unit, np.sqrt(ref2))),
-            bool(np.sqrt(err2.sum()) <= 0.5 * unit))
-
-
-def check_unitary(U) -> np.ndarray:
-    A = as_cmatrix(U)
-    if A.shape[0] != A.shape[1]:
-        raise NotUnitary("unitary matrix must be square")
-    # U^T conj(U) is the conjugate of U†U; a 0 x 0 matrix is unitary
-    At = A.T
-    if A.size and not gram_rules(At, At, (A.shape[0],), TOL_EQ)[0]:
-        raise NotUnitary("U†U deviates from the identity beyond tolerance")
-    return A
+    return within(np.sqrt(err2), tol, np.maximum(unit, np.sqrt(ref2)))
 
 
 def random_units(rng: np.random.Generator, n: int, count: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from gframes.errors import (
     NotRieszBasis,
     TruncationTooSevere,
 )
-from gframes.linalg import TOL_EQ, fro, random_unitary, random_units
+from gframes.linalg import fro, random_unitary, random_units
 
 from conftest import (dual_family, fock_column, on_basis_cases, random_frame,
                       random_gon, random_riesz, traced_peak)
@@ -91,7 +91,7 @@ class TestBuildFock:
     def test_gram_rule_agrees_with_classify(self, rng, mercedes):
         for F, expected in on_basis_cases(rng, mercedes):
             assert gf.classify(F).is_on_basis == expected
-            assert frames._is_on_basis(F, TOL_EQ) == expected
+            assert frames._is_on_basis(F) == expected
             if expected:
                 gf.build_fock(F)
             else:

@@ -9,7 +9,7 @@ from gframes.errors import (
     ShapeMismatch,
     Singular,
 )
-from gframes.linalg import fro, random_unitary
+from gframes.linalg import TOL_EQ, fro, random_unitary
 
 from conftest import count_inverse_roots, random_frame, random_gon
 
@@ -266,6 +266,33 @@ class TestGenerators:
         with pytest.raises(NotUnitary):
             gf.make_gon_basis(2, (1, 1), rotation=np.diag([2.0, 1.0]))
 
+    @pytest.mark.parametrize("factor", [0.5, 2.0])
+    @pytest.mark.parametrize("dims", [(1,) * 6, (3, 1, 2), (6,)],
+                             ids=["one-row", "uneven", "one-block"])
+    def test_rotation_rule_is_classify(self, rng, dims, factor):
+        """make_gon_basis takes a rotation exactly when classify calls the
+        rotated family an orthonormal basis.  Row 0 of a random unitary is
+        scaled by 1 + eps, so the Gram's first block is off the identity by
+        2 eps + eps^2 against its norm sqrt(d_0), to 1e-10: eps is `factor`
+        times the blockwise threshold."""
+        eps = factor * TOL_EQ * np.sqrt(dims[0]) / 2
+        U = random_unitary(6, rng)
+        U[0] *= 1.0 + eps
+        expected = gf.classify(gf.GFrame(6, tuple(np.split(U, np.cumsum(dims)[:-1])))).is_on_basis
+        assert expected == (factor < 1.0)
+        try:
+            gf.make_gon_basis(6, dims, rotation=U)
+        except NotUnitary:
+            assert not expected
+        else:
+            assert expected
+
+    def test_rotation_of_the_wrong_shape(self):
+        with pytest.raises(NotUnitary, match="must be square"):
+            gf.make_gon_basis(2, (1, 1), rotation=np.eye(3)[:2])
+        with pytest.raises(DimensionMismatch):
+            gf.make_gon_basis(2, (1, 1), rotation=np.eye(3))
+
     def test_griesz_identity_factor(self, rng):
         gon = random_gon(rng, 4, (2, 2))
         F = gf.make_griesz(gon, np.eye(4))
@@ -288,3 +315,16 @@ class TestGenerators:
         with pytest.raises(Singular):
             gf.make_griesz(coordinate_slicing(),
                            np.diag([1.0, 1.0, 1.0, 0.0]).astype(complex))
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("diagonal, ratio2", [
+        ((1.0, 1.0, 0.0), "0.000e+00"), ((1.0, 1.0, 1e-320), "0.000e+00"),
+        ((1e200, 1.0, 1e-200), "0.000e+00"), ((1.0, 1.0, 1e-7), "1.000e-14")],
+        ids=["zero", "subnormal", "wide", "ill-conditioned"])
+    def test_griesz_singular_reports_the_ratio_it_read(self, diagonal, ratio2):
+        """Singular names the (sigma_min / sigma_max)^2 that the frame rule
+        read, 0 for a singular X, with no division that can overflow: at
+        diag(1e200, 1, 1e-200) no warning escapes."""
+        with pytest.raises(Singular) as raised:
+            gf.make_griesz(gf.make_gon_basis(3, (1, 1, 1)), np.diag(diagonal))
+        assert f"(sigma_min / sigma_max)^2 = {ratio2}," in str(raised.value)

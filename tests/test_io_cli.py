@@ -825,6 +825,24 @@ class TestCli:
         assert captured.out == ""
         assert json.loads(captured.err)["error"] == "NotOnBasis"
 
+    def test_coherent_refuses_a_perturbed_basis_at_a_loose_tol(self, tmp_path, capsys):
+        """A rotated basis in 6 blocks of 6 plus 0.03 E / 4, E complex
+        Gaussian, is no orthonormal basis.  build_fock's rule reads TOL_EQ
+        whatever --tol says, so --tol 0.3 refuses it as the default does, and
+        uncertainty_a, which takes C†v = c / ||c|| for a unitary C, never
+        reports a pass it did not measure."""
+        rng = np.random.default_rng(0)
+        gon = gf.make_gon_basis(36, (6,) * 6, rotation=linalg.random_unitary(36, rng))
+        E = rng.standard_normal((36, 36)) + 1j * rng.standard_normal((36, 36))
+        p = tmp_path / "perturbed.frame"
+        frame_io.save(p, gf.GFrame(36, tuple(np.split(gon.matrix + 0.03 * E / 4, 6))))
+        argv = ["coherent", str(p), "--check", "identity", "--check", "uncertainty",
+                "--z=0.05", "--tol", "0.3"]
+        assert cli.main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err)["error"] == "NotOnBasis"
+
     def test_non_frame_input_fails_dual_numerically(self, tmp_path, capsys):
         p = tmp_path / "zero.frame"
         frame_io.save(p, gf.GFrame(2, (np.zeros((2, 2)),)))

@@ -56,16 +56,16 @@ def test_random_unitary_is_unitary(rng):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflowing_product_is_not_unitary():
-    # the plain A†A overflows; check_unitary forms it from A scaled by a
-    # power of two, so it raises NotUnitary with no warning, here and
-    # through make_gon_basis's rotation
+    # the plain A A† overflows; make_gon_basis's rule forms it from A scaled
+    # by a power of two, so it raises NotUnitary with no warning, in one
+    # block and in two
     A = np.array([[1e200, 1e200], [1e200, -1e200]])
     with pytest.raises(NotUnitary):
-        linalg.check_unitary(A)
+        gf.make_gon_basis(2, (2,), rotation=A)
     with pytest.raises(NotUnitary):
         gf.make_gon_basis(2, (1, 1), rotation=A)
     # the same matrix scaled to a unitary passes
-    linalg.check_unitary(A / (np.sqrt(2.0) * 1e200))
+    gf.make_gon_basis(2, (2,), rotation=A / (np.sqrt(2.0) * 1e200))
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -75,8 +75,8 @@ def test_overflowing_product_is_not_unitary():
 @example(0, 0)
 def test_identity_rule_at_every_scale(k, seed):
     """On a random 6 x 3 frame F scaled by 2^k, with no warning: F and its
-    canonical dual are a dual pair, F is not its own dual, and 2^k U is
-    unitary only at k = 0.  The identity Gram is formed from factors scaled
+    canonical dual are a dual pair, F is not its own dual, and make_gon_basis
+    takes 2^k U as a one-block rotation only at k = 0.  The identity Gram is formed from factors scaled
     by powers of two, so T_F† T_F at 2^300 does not overflow."""
     rng = np.random.default_rng(seed)
     T = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
@@ -85,10 +85,10 @@ def test_identity_rule_at_every_scale(k, seed):
     assert not gf.check_dual_pair(F, F)
     U = 2.0 ** k * linalg.random_unitary(3, rng)
     if k == 0:
-        linalg.check_unitary(U)
+        gf.make_gon_basis(3, (3,), rotation=U)
     else:
         with pytest.raises(NotUnitary):
-            linalg.check_unitary(U)
+            gf.make_gon_basis(3, (3,), rotation=U)
 
 
 class TestExponent:
@@ -182,9 +182,10 @@ def _gram(factor, c):
 
 
 def _unitary(factor, c):
-    # ||A†A - I|| = 2 eps + eps^2 and ||A|| = sqrt(N), to 1e-10
+    # the rotation A in one block: ||A A† - I|| = 2 eps + eps^2 and
+    # ||A A†|| = sqrt(N), to 1e-10
     try:
-        linalg.check_unitary(_diag(1.0 + factor * linalg.TOL_EQ * np.sqrt(N) / 2))
+        gf.make_gon_basis(N, (N,), rotation=_diag(1.0 + factor * linalg.TOL_EQ * np.sqrt(N) / 2))
     except NotUnitary:
         return False
     return True
@@ -253,7 +254,7 @@ def _gavruta(factor, c):
     return True
 
 
-# check_unitary compares with the identity and Parseval's rule with a bound
+# a unitary rotation compares with the identity and Parseval's rule with a bound
 # of 1, neither of which has a scale
 _SITES = [(_dual_pair, (-40, 40)), (_gram, (-40, 40)), (_unitary, (0,)),
           (_similar, (-40, -4, 40)), (_similar_floor, (-40, 40)), (_tight, (-40, 40)),
