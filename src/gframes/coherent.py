@@ -27,7 +27,6 @@ from .errors import (
     TruncationTooSevere,
 )
 from .frames import GFrame, _is_on_basis, _spectral_rules, analysis
-from .linalg import exponent
 
 DEFECT_MAX = 1e-10   # every builder's budget: the uncertainty checks need it this tight
 
@@ -155,51 +154,38 @@ def truncation_defect(z: complex, w: complex, K: int, L: int) -> float:
     return tz + tw - tz * tw
 
 
-def required_truncation(z: complex, w: complex, defect_max: float):
-    """Smallest (K, L) meeting the defect budget, split evenly."""
+def required_truncation(z: complex, w: complex):
+    """Smallest (K, L) meeting the defect budget DEFECT_MAX, split evenly."""
     def smallest(x):
-        ok = np.flatnonzero(_poisson_tails(x, 99_999) <= defect_max / 2.0)
+        ok = np.flatnonzero(_poisson_tails(x, 99_999) <= DEFECT_MAX / 2.0)
         return int(ok[0]) + 1 if ok.size else 100_000
 
     return smallest(_intensity(z)), smallest(_intensity(w))
 
 
-def _checked_coefficients(z: complex, w: complex, K: int, L: int,
-                          defect_max: float) -> tuple:
+def _checked_coefficients(z: complex, w: complex, K: int, L: int) -> tuple:
     """(c, defect): coefficient_vector at (z, w) truncated at (K, L) and its
-    truncation defect, or TruncationTooSevere naming the smallest truncation
-    that meets defect_max.  A label is refused when its defect exceeds the
-    budget, and also when `_unit` cannot normalize c to full precision: a
-    budget of 1 passes labels whose Gaussian weight underflows or whose
-    |z|^2 overflows.  `_unit` scales c by a power of two first, so the
-    plain sum of squares may underflow; it needs max|c| finite and a
-    normal float, below which c has lost precision and the power of two
-    overflows."""
+    truncation defect, or TruncationTooSevere.  A defect beyond DEFECT_MAX
+    is refused with the smallest truncation that meets the budget.  Within
+    it max|c|^2 >= (1 - DEFECT_MAX) / (K L), so c normalizes to full
+    precision, unless a term z^k w^l / sqrt(k! l!) overflows before the
+    Gaussian weight scales it (from |z|^2 + |w|^2 near 1425).  The terms
+    peak at the levels |z|^2 and |w|^2, below any truncation within the
+    budget, so none avoids the overflow and none is named."""
     defect = truncation_defect(z, w, K, L)
-    largest = 0.0
-    if not defect > defect_max and math.isfinite(_intensity(z) + _intensity(w)):
-        with np.errstate(all="ignore"):
-            c = coefficient_vector(z, w, K, L)
-            largest = np.max(np.abs(c))
-    if not np.finfo(float).tiny <= largest < math.inf:
-        kr, lr = required_truncation(z, w, defect_max)
-        why = (f"defect {defect:.3e} exceeds {defect_max:.1e}"
-               if defect > defect_max else
-               f"coefficients truncated at K = {K}, L = {L} are below the "
-               f"normal range or not finite")
-        raise TruncationTooSevere(f"{why}; need K >= {kr}, L >= {lr}",
-                                  required_k=kr, required_l=lr)
+    if defect > DEFECT_MAX:
+        kr, lr = required_truncation(z, w)
+        raise TruncationTooSevere(
+            f"defect {defect:.3e} exceeds {DEFECT_MAX:.1e}; need K >= {kr}, L >= {lr}",
+            required_k=kr, required_l=lr)
+    with np.errstate(all="ignore"):
+        c = coefficient_vector(z, w, K, L)
+    if not np.isfinite(c).all():
+        raise TruncationTooSevere(
+            f"coefficients z^k w^l / sqrt(k! l!) overflow a float at "
+            f"|z|^2 + |w|^2 = {_intensity(z) + _intensity(w):.4g}; every "
+            f"truncation within {DEFECT_MAX:.1e} reaches them")
     return c, defect
-
-
-def _unit(x: np.ndarray) -> np.ndarray:
-    """x / ||x||, with x first scaled by the power of two that brings its
-    largest real or imaginary part into [1/2, 1) (see exponent), so that
-    the sum of squares neither underflows nor overflows.  The scaling is
-    exact: wherever the plain quotient is accurate, the result is the same
-    bit for bit."""
-    x = x * math.ldexp(1.0, -exponent(x))
-    return x / np.linalg.norm(x)
 
 
 def _series_weights(z, m: int) -> np.ndarray:
@@ -236,11 +222,11 @@ def build_fock(gon: GFrame) -> FockStructure:
     return FockStructure(K=K, L=L, basis_columns=analysis(gon).conj().T)
 
 
-def coherent_state(fs: FockStructure, z: complex, w: complex,
-                   defect_max: float = DEFECT_MAX) -> CoherentState:
+def coherent_state(fs: FockStructure, z: complex, w: complex) -> CoherentState:
     """Renormalized truncated coherent state at labels (z, w)."""
-    c, defect = _checked_coefficients(z, w, fs.K, fs.L, defect_max)
-    v = _unit(fs.basis_columns @ c)
+    c, defect = _checked_coefficients(z, w, fs.K, fs.L)
+    v = fs.basis_columns @ c
+    v = v / np.linalg.norm(v)
     return CoherentState(z=complex(z), w=complex(w), vector=v,
                          truncation_defect=defect)
 
@@ -339,14 +325,14 @@ def quadrature_identity(fs: FockStructure, radial_nodes: int,
     return pair_quadrature(C, C, fs.K, fs.L, radial_nodes, angular_nodes)
 
 
-def uncertainty_product(fs: FockStructure, z: complex, w: complex,
-                        defect_max: float = DEFECT_MAX):
+def uncertainty_product(fs: FockStructure, z: complex, w: complex):
     """Uncertainty products (dq_a * dp_a, dq_b * dp_b) for the quadrature
     observables of the lowering pair, evaluated on the truncated state.
     Both converge to 1/2 as the defect vanishes."""
     # the state is v = C c / ||C c||, and C is unitary to build_fock's
     # TOL_EQ, so C† v = c / ||c|| to that tolerance: no n-vector is formed
-    c = _unit(_checked_coefficients(z, w, fs.K, fs.L, defect_max)[0])
+    c, _ = _checked_coefficients(z, w, fs.K, fs.L)
+    c = c / np.linalg.norm(c)
     index = np.arange(fs.K * fs.L)
     power = np.abs(c) ** 2
 
@@ -366,8 +352,7 @@ def uncertainty_product(fs: FockStructure, z: complex, w: complex,
             float(product("b", index // fs.K)))
 
 
-def bicoherent_family(riesz: GFrame, z: complex, w: complex,
-                      defect_max: float = DEFECT_MAX) -> BicoherentFamily:
+def bicoherent_family(riesz: GFrame, z: complex, w: complex) -> BicoherentFamily:
     """Coherent triple over a Riesz operator basis.
 
     Everything comes from one thin SVD T = W Σ V† of the stacked blocks.  The
@@ -387,7 +372,7 @@ def bicoherent_family(riesz: GFrame, z: complex, w: complex,
     if not (is_frame and rank == riesz.total_dim):
         raise NotRieszBasis("bicoherent_family requires a Riesz operator basis")
     K, L = _levels(riesz.block_dims)
-    c, defect = _checked_coefficients(z, w, K, L, defect_max)
+    c, defect = _checked_coefficients(z, w, K, L)
 
     C = (W @ Vh).conj().T
     U_cols = T.conj().T

@@ -251,8 +251,10 @@ def frame_bounds(F: GFrame, tol_eq: float = TOL_EQ) -> FrameBounds:
     s = F.spectrum[0]
     if s[0] > _SQRT_MAX:
         raise NonFinite(f"upper frame bound overflows: sigma_max = {s[0]:.3e}")
-    upper = float(s[0] ** 2)
-    lower = float(s[-1] ** 2) if s.size == F.hilbert_dim else 0.0
+    # one multiplication, correctly rounded: ** on a NumPy scalar calls
+    # libm pow, which can miss by an ulp and break exact power-of-two scaling
+    upper = float(s[0] * s[0])
+    lower = float(s[-1] * s[-1]) if s.size == F.hilbert_dim else 0.0
     ratio2, is_frame, _ = _spectral_rules(s, F.hilbert_dim)
     is_tight = is_frame and within(1.0 - ratio2, tol_eq)
     is_parseval = is_tight and within(abs(lower - 1.0), tol_eq)

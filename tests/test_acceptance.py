@@ -263,7 +263,8 @@ def test_criterion_09_eigen_relations(report):
     worst = 0.0
     for z, w in [(1.0, 1.0j), (0.6 * np.exp(0.4j), -0.9),
                  (1j, 0.3 - 0.2j), (-0.8 + 0.59j, np.exp(2.2j))]:
-        state = coherent.coherent_state(fs, z, w, defect_max=1e-12)
+        state = coherent.coherent_state(fs, z, w)
+        assert state.truncation_defect <= 1e-12
         v = state.vector
         worst = max(worst,
                     float(np.linalg.norm(ops.a @ v - z * v)),
@@ -281,7 +282,7 @@ def test_criterion_10_uncertainty_saturation(report):
     for _ in range(10):
         z = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
         w = rng.uniform(0, 1) * np.exp(2j * np.pi * rng.uniform())
-        pa, pb = coherent.uncertainty_product(fs, z, w, defect_max=1e-10)
+        pa, pb = coherent.uncertainty_product(fs, z, w)
         worst = max(worst, abs(pa - 0.5), abs(pb - 0.5))
     p0a, p0b = coherent.uncertainty_product(fs, 0.0, 0.0)
     vac = max(abs(p0a - 0.5), abs(p0b - 0.5))

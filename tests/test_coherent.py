@@ -152,13 +152,15 @@ class TestTruncationDefect:
                             worst = max(worst, err / max(1.0, -np.log(float(ref))))
         assert worst <= 4 * np.finfo(np.float64).eps
 
-    def test_required_truncation_meets_budget(self):
-        K, L = coherent.required_truncation(2.0, 1.5, 1e-8)
+    def test_required_truncation_meets_budget(self, monkeypatch):
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1e-8)
+        K, L = coherent.required_truncation(2.0, 1.5)
         assert gf.truncation_defect(2.0, 1.5, K, L) <= 1e-8
 
-    def test_required_truncation_is_smallest(self):
+    def test_required_truncation_is_smallest(self, monkeypatch):
         for budget in (1e-8, 1e-14):
-            K, L = coherent.required_truncation(2.0, 1.5, budget)
+            monkeypatch.setattr(coherent, "DEFECT_MAX", budget)
+            K, L = coherent.required_truncation(2.0, 1.5)
             assert coherent.tail_mass(K - 1, 4.0) <= budget / 2
             assert coherent.tail_mass(K - 2, 4.0) > budget / 2
             assert coherent.tail_mass(L - 1, 2.25) <= budget / 2
@@ -179,7 +181,7 @@ class TestTruncationDefect:
         assert coherent.tail_mass(7, 3.0) == coherent._poisson_tails(3.0, 8)[-1]
         assert coherent.tail_mass(5, 0.0) == 0.0
 
-    def test_tail_mass_at_large_labels(self):
+    def test_tail_mass_at_large_labels(self, monkeypatch):
         # only the terms near the mean are summed, so the work stays
         # O(m + sqrt(x)) however large |z| is
         for x in (2500.0, 1e4, 1e5):
@@ -188,7 +190,8 @@ class TestTruncationDefect:
             np.testing.assert_allclose(tails, gammainc(k + 1, x), rtol=1e-9)
         assert coherent.tail_mass(29, 1e10) == 1.0
         assert coherent.tail_mass(29, np.inf) == 1.0
-        assert coherent.required_truncation(1e5, 0.0, 1e-8) == (100_000, 1)
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1e-8)
+        assert coherent.required_truncation(1e5, 0.0) == (100_000, 1)
 
 
 class TestCoherentState:
@@ -206,11 +209,12 @@ class TestCoherentState:
         np.testing.assert_allclose(st.vector, coeffs, atol=1e-12)
         assert abs(np.linalg.norm(st.vector) - 1.0) <= 1e-10
 
-    def test_matches_both_oracles(self, rng):
+    def test_matches_both_oracles(self, rng, monkeypatch):
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1e-2)
         gon = random_gon(rng, 25, (5, 5, 5, 5, 5))
         fs = gf.build_fock(gon)
         for z, w in [(0.3, 0.2), (0.5j, -0.1), (0.4 - 0.2j, 0.3 + 0.1j)]:
-            st = gf.coherent_state(fs, z, w, defect_max=1e-2)
+            st = gf.coherent_state(fs, z, w)
             np.testing.assert_allclose(st.vector, series_oracle(fs, z, w),
                                        atol=1e-12)
             np.testing.assert_allclose(st.vector, factorized_oracle(gon, fs, z, w),
@@ -223,11 +227,12 @@ class TestCoherentState:
         defect = gf.truncation_defect(z, w, fs.K, fs.L)
         assert np.linalg.norm(c) ** 2 == pytest.approx(1 - defect, abs=1e-12)
 
-    def test_truncation_too_severe(self, rng):
+    def test_truncation_too_severe(self, rng, monkeypatch):
         gon = gf.make_gon_basis(10, tuple([10]))
         fs = gf.build_fock(gon)
-        for build in (lambda: gf.coherent_state(fs, 6.0, 0.0),
-                      lambda: gf.bicoherent_family(gon, 6.0, 0.0, defect_max=1e-8)):
+        for budget, build in ((coherent.DEFECT_MAX, lambda: gf.coherent_state(fs, 6.0, 0.0)),
+                              (1e-8, lambda: gf.bicoherent_family(gon, 6.0, 0.0))):
+            monkeypatch.setattr(coherent, "DEFECT_MAX", budget)
             with pytest.raises(TruncationTooSevere, match=r"need K >= \d+, L >= 1") as exc:
                 build()
             assert exc.value.required_k > 10
@@ -258,35 +263,51 @@ class TestCoherentState:
     @pytest.mark.parametrize("build", ["coherent_state", "uncertainty_product",
                                        "bicoherent_family"])
     def test_unrepresentable_coefficients_are_too_severe(self, build, z):
-        """A budget of 1 passes every label.  The coefficients are subnormal
-        at |z| = 38, the Gaussian weight underflows to 0 at 40 and |z|^2
-        overflows at 1e200, so no normalized state exists to full
-        precision; the labels raise as an exceeded budget does."""
+        """The coefficients are subnormal at |z| = 38, the Gaussian weight
+        underflows to 0 at 40 and |z|^2 overflows at 1e200, so no normalized
+        state exists to full precision; at K = L = 2 the defect of each
+        label is near 1, and each raises by the budget, naming the smallest
+        truncation that meets it."""
         gon = gf.make_gon_basis(4, (2, 2))
         arg = gon if build == "bicoherent_family" else gf.build_fock(gon)
-        with pytest.raises(TruncationTooSevere, match=r"need K >= \d+, L >= 1") as exc:
-            getattr(gf, build)(arg, z, 0.0, defect_max=1.0)
-        expected = coherent.required_truncation(z, 0.0, 1.0)
+        with pytest.raises(TruncationTooSevere,
+                           match=r"exceeds 1\.0e-10; need K >= \d+, L >= 1") as exc:
+            getattr(gf, build)(arg, z, 0.0)
+        expected = coherent.required_truncation(z, 0.0)
         assert (exc.value.required_k, exc.value.required_l) == expected
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("z", [27.0, 27.2, 27.4, 27.6, 30.0])
     def test_tiny_coefficients_still_normalize(self, z):
-        """At a budget of 1 these labels pass, with normal coefficients near
-        1e-160 or 1e-194 whose sum of squares is subnormal or, from
-        |z| = 27.6, underflows to 0: the state is still the unit vector
-        along C c, (1, z) / sqrt(1 + z^2) on its two live entries (at 27.6,
-        about (0.0362, 0.9993)), and the b-axis product (w = 0) is still
-        1/2."""
-        fs = gf.build_fock(gf.make_gon_basis(4, (2, 2)))
-        v = gf.coherent_state(fs, z, 0.0, defect_max=1.0).vector
-        assert abs(np.linalg.norm(v) - 1.0) <= 1e-15
-        ref = fs.basis_columns @ (1e160 * coherent.coefficient_vector(z, 0.0, 2, 2))
-        np.testing.assert_allclose(v, ref / np.linalg.norm(ref), rtol=0, atol=1e-15)
-        np.testing.assert_allclose(v, np.array([1.0, z, 0.0, 0.0]) / np.hypot(1.0, z),
-                                   rtol=0, atol=1e-15)
-        _, ub = gf.uncertainty_product(fs, z, 0.0, defect_max=1.0)
-        assert abs(ub - 0.5) <= 1e-15
+        """No label whose coefficients are too small to normalize plainly
+        reaches a builder's normalization.  At K = L = 2 these labels have
+        normal coefficients, 1e-157 to 1e-194, whose sum of squares is
+        subnormal or, from |z| = 27.6, underflows to 0; their defect is near
+        1, so every builder refuses them by the default budget."""
+        c = coherent.coefficient_vector(z, 0.0, 2, 2)
+        assert np.max(np.abs(c)) >= np.finfo(float).tiny
+        assert np.vdot(c, c).real < np.finfo(float).tiny
+        gon = gf.make_gon_basis(4, (2, 2))
+        fs = gf.build_fock(gon)
+        for build, arg in (("coherent_state", fs), ("uncertainty_product", fs),
+                           ("bicoherent_family", gon)):
+            with pytest.raises(TruncationTooSevere, match=r"exceeds 1\.0e-10"):
+                getattr(gf, build)(arg, z, 0.0)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("build", ["coherent_state", "uncertainty_product"])
+    def test_overflowing_coefficients_name_no_truncation(self, build):
+        """At |z|^2 = 1450 the budget needs K = 1704, and z^k / sqrt(k!)
+        overflows below level 1450, so every truncation within the budget
+        overflows: the label is refused naming the overflow, with no
+        truncation advised.  The Fock columns are never read."""
+        z = np.sqrt(1450.0)
+        assert coherent.required_truncation(z, 0.0) == (1704, 1)
+        fs = coherent.FockStructure(K=1704, L=1, basis_columns=None)
+        with pytest.raises(TruncationTooSevere, match="overflow a float") as exc:
+            getattr(gf, build)(fs, z, 0.0)
+        assert "need K" not in str(exc.value)
+        assert (exc.value.required_k, exc.value.required_l) == (None, None)
 
 
 class TestLadderOps:
@@ -462,6 +483,7 @@ class TestQuadratureIdentity:
         ref = left @ np.kron(Gw, Gz) @ right.conj().T
         assert np.max(np.abs(Q - ref)) <= 1e-14
 
+    @seed(2701)
     @settings(max_examples=60, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.data(),
            st.integers(0, 2 ** 32 - 1))
@@ -508,9 +530,10 @@ class TestUncertainty:
         assert abs(pa - 0.5) <= 1e-8
         assert abs(pb - 0.5) <= 1e-8
 
-    def test_matches_dense_moments(self, rng):
+    def test_matches_dense_moments(self, rng, monkeypatch):
         # the quadrature moments taken from dense q and p on the ambient
         # space; heavy truncation keeps the products away from 1/2
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1.0)
         fs = gf.build_fock(random_gon(rng, 30, (6,) * 5))
         a_c, b_c = dense_lowering(fs.K, fs.L)
         C = fs.basis_columns
@@ -527,8 +550,8 @@ class TestUncertainty:
             return spread[0] * spread[1]
 
         for z, w in [(0.4 + 0.3j, -0.2 + 0.5j), (1.5, 0.9j), (-1.2 - 0.7j, 1.1)]:
-            v = gf.coherent_state(fs, z, w, defect_max=1.0).vector
-            pa, pb = gf.uncertainty_product(fs, z, w, defect_max=1.0)
+            v = gf.coherent_state(fs, z, w).vector
+            pa, pb = gf.uncertainty_product(fs, z, w)
             assert pa == pytest.approx(dense(C @ a_c @ C.conj().T, v), rel=1e-12)
             assert pb == pytest.approx(dense(C @ b_c @ C.conj().T, v), rel=1e-12)
         assert abs(pa - 0.5) > 1e-3 and abs(pb - 0.5) > 1e-3
@@ -540,9 +563,10 @@ class TestUncertainty:
 
 
 class TestBicoherent:
-    def test_identity_factor_collapses_to_base_state(self, rng):
+    def test_identity_factor_collapses_to_base_state(self, rng, monkeypatch):
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1e-3)
         gon = random_gon(rng, 4, (2, 2))
-        fam = gf.bicoherent_family(gon, 0.1, 0.05, defect_max=1e-3)
+        fam = gf.bicoherent_family(gon, 0.1, 0.05)
         fs = gf.build_fock(gon)
         c = coherent.coefficient_vector(0.1, 0.05, 2, 2)
         base = fs.basis_columns @ c
@@ -550,28 +574,31 @@ class TestBicoherent:
         np.testing.assert_allclose(fam.phi_dual, base, atol=1e-10)
         np.testing.assert_allclose(fam.phi_up, base, atol=1e-10)
 
-    def test_dual_and_up_columns_coincide(self, rng):
+    def test_dual_and_up_columns_coincide(self, rng, monkeypatch):
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1.0)
         riesz, _ = random_riesz(rng, 6, (2, 2, 2))
-        fam = gf.bicoherent_family(riesz, 0.2, 0.1, defect_max=1.0)
+        fam = gf.bicoherent_family(riesz, 0.2, 0.1)
         v_cols, phi_dual, _, _ = dual_family(riesz, fam, 0.2, 0.1)
         assert fro(v_cols - fam.p_columns) <= 1e-10
         assert np.linalg.norm(fam.phi_up - phi_dual) <= 1e-9
 
     def test_pairing_is_unity(self, rng):
         riesz, _ = random_riesz(rng, 20, (10, 10))
-        fam = gf.bicoherent_family(riesz, 0.3, 0.0, defect_max=1e-10)
+        fam = gf.bicoherent_family(riesz, 0.3, 0.0)
         assert abs(np.vdot(fam.phi, fam.phi_up) - 1.0) <= 1e-9
 
-    def test_dual_ladder_equals_up_ladder(self, rng):
+    def test_dual_ladder_equals_up_ladder(self, rng, monkeypatch):
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1.0)
         riesz, _ = random_riesz(rng, 6, (2, 2, 2))
-        fam = gf.bicoherent_family(riesz, 0.2, 0.1, defect_max=1.0)
+        fam = gf.bicoherent_family(riesz, 0.2, 0.1)
         _, _, a_dual, b_dual = dual_family(riesz, fam, 0.2, 0.1)
         assert fro(a_dual - fam.a_up) <= 1e-9 * max(1.0, fro(fam.a_up))
         assert fro(b_dual - fam.b_up) <= 1e-9 * max(1.0, fro(fam.b_up))
 
-    def test_lowering_actions(self, rng):
+    def test_lowering_actions(self, rng, monkeypatch):
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1.0)
         riesz, _ = random_riesz(rng, 9, (3, 3, 3))
-        fam = gf.bicoherent_family(riesz, 0.1, 0.1, defect_max=1.0)
+        fam = gf.bicoherent_family(riesz, 0.1, 0.1)
         v_cols, _, a_dual, _ = dual_family(riesz, fam, 0.1, 0.1)
         K = fam.fock.K
         for l in range(fam.fock.L):
@@ -583,10 +610,11 @@ class TestBicoherent:
                 np.testing.assert_allclose(
                     a_dual @ v_cols[:, i], np.sqrt(k) * v_cols[:, j], atol=1e-9)
 
-    def test_eigen_relations(self, rng):
+    def test_eigen_relations(self, rng, monkeypatch):
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1e-2)
         riesz, _ = random_riesz(rng, 8, (4, 4), cond_max=4.0)
         z, w = 0.3, 0.2
-        fam = gf.bicoherent_family(riesz, z, w, defect_max=1e-2)
+        fam = gf.bicoherent_family(riesz, z, w)
         cond = np.linalg.cond(fam.x_factor)
         c = coherent.coefficient_vector(z, w, fam.fock.K, fam.fock.L)
         # residual dominated by the dropped top level, scaled by cond(X)
@@ -597,9 +625,10 @@ class TestBicoherent:
         assert np.linalg.norm(fam.a_dual @ fam.phi_dual - z * fam.phi_dual) <= budget
         assert np.linalg.norm(fam.a_up @ fam.phi_up - z * fam.phi_up) <= budget
 
-    def test_bi_quadrature_identities(self, rng):
+    def test_bi_quadrature_identities(self, rng, monkeypatch):
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1.0)
         riesz, _ = random_riesz(rng, 8, (2, 2, 2, 2), cond_max=5.0)
-        fam = gf.bicoherent_family(riesz, 0.1, 0.1, defect_max=1.0)
+        fam = gf.bicoherent_family(riesz, 0.1, 0.1)
         K, L = fam.fock.K, fam.fock.L
         rad, ang = max(K, L), max(2 * K - 1, 2 * L - 1)
         B1 = coherent.pair_quadrature(fam.u_columns, fam.v_columns, K, L, rad, ang)
@@ -620,10 +649,11 @@ class TestBicoherent:
         X = fam.x_factor
         assert fro(S @ np.linalg.inv(X) - X.conj().T) <= 1e-9
 
-    def test_columns_against_frame_operator(self, rng):
+    def test_columns_against_frame_operator(self, rng, monkeypatch):
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1.0)
         # oracles from S = T†T and its eigendecomposition, not from the SVD
         riesz, _ = random_riesz(rng, 12, (3, 3, 3, 3))
-        fam = gf.bicoherent_family(riesz, 0.2, 0.1, defect_max=1.0)
+        fam = gf.bicoherent_family(riesz, 0.2, 0.1)
         T = np.vstack(riesz.blocks)
         S = gf.frame_operator(riesz)
         np.testing.assert_allclose(fam.u_columns, T.conj().T, atol=1e-13)
@@ -636,33 +666,34 @@ class TestBicoherent:
         C = (T @ np.linalg.solve(X, np.eye(12))).conj().T
         assert fro(fam.fock.basis_columns - C) <= 1e-10 * fro(C)
 
-    def test_ill_conditioned_riesz_basis(self):
+    def test_ill_conditioned_riesz_basis(self, monkeypatch):
         # kappa(S) = 5.8e10 is below 1 / TOL_PD, so the basis is Riesz; the
         # orthonormal basis T S^{-1/2} taken through S loses half the digits
         # and misses the build_fock tolerance, the polar factor does not
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1.0)
         rng = np.random.default_rng(0)
         gon = gf.make_gon_basis(64, (8,) * 8, rotation=random_unitary(64, rng))
         U, V = random_unitary(64, rng), random_unitary(64, rng)
         X = (U * np.geomspace(1.0, 2.4e5, 64)) @ V.conj().T
         riesz = gf.make_griesz(gon, X)
         assert gf.classify(riesz).is_riesz_basis
-        fam = gf.bicoherent_family(riesz, 0.1, 0.1, defect_max=1.0)
+        fam = gf.bicoherent_family(riesz, 0.1, 0.1)
         assert fro(fam.v_columns.conj().T @ fam.u_columns - np.eye(64)) <= 1e-9
         C = fam.fock.basis_columns
         assert fro(C.conj().T @ C - np.eye(64)) <= 1e-12
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scale", [1e-170, 1e160])
-    def test_riesz_rule_is_scale_invariant(self, scale):
+    def test_riesz_rule_is_scale_invariant(self, scale, monkeypatch):
         # the Riesz rule compares ratios of singular values: their squares
         # underflow at 1e-170 and overflow at 1e160
+        monkeypatch.setattr(coherent, "DEFECT_MAX", 1.0)
         rng = np.random.default_rng(0)
         gon = gf.make_gon_basis(8, (4, 4), rotation=random_unitary(8, rng))
         G = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
         riesz = gf.make_griesz(gon, np.eye(8) + 0.1 * G)
-        ref = gf.bicoherent_family(riesz, 0.2, 0.1, defect_max=1.0)
-        fam = gf.bicoherent_family(riesz.map_blocks(lambda B: scale * B), 0.2, 0.1,
-                                   defect_max=1.0)
+        ref = gf.bicoherent_family(riesz, 0.2, 0.1)
+        fam = gf.bicoherent_family(riesz.map_blocks(lambda B: scale * B), 0.2, 0.1)
         assert fro(fam.v_columns.conj().T @ fam.u_columns - np.eye(8)) <= 1e-12
         assert fro(fam.a_up - ref.a_up) <= 1e-12 * fro(ref.a_up)
 

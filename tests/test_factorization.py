@@ -13,7 +13,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, seed, settings, strategies as st
 
 import gframes as gf
 from gframes import duality, frame_io, frames, linalg, perturbation
@@ -568,11 +568,13 @@ class TestScale:
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
+@seed(2701)
 @settings(max_examples=60, deadline=None)
 @given(st.integers(-500, 500), st.integers(0, 2 ** 32 - 1))
 @example(-500, 0)
 @example(460, 0)
 @example(500, 0)
+@example(1, 1_937_282_199)
 def test_spectrum_is_exact_under_powers_of_two(k, seed):
     """The bounds of 2^k F are exactly 4^k times those of F, and its
     canonical dual exactly 2^-k times F's, with no warning: a T beyond

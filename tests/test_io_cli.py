@@ -11,7 +11,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 import gframes as gf
 from gframes import cli, coherent, frame_io, frames, linalg
@@ -178,6 +178,7 @@ class TestParseSpec:
         with pytest.raises(SchemaError):
             frame_io.parse_spec(json.dumps(doc))
 
+    @seed(2701)
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1))
     def test_roundtrip_random_frames(self, seed):
@@ -238,6 +239,7 @@ class TestParseSpec:
         F, _ = frame_io.parse_spec(text)
         np.testing.assert_array_equal(F.blocks[0], [[1 - 2j, float(big) + 0.5j]])
 
+    @seed(2701)
     @settings(max_examples=60, deadline=None)
     @given(
         st.integers(1, 4),
@@ -297,6 +299,7 @@ class TestOnePassReader:
     the block whose structure fails, and so names the document's first
     error."""
 
+    @seed(2701)
     @settings(max_examples=80, deadline=None)
     @given(st.integers(0, 2 ** 32 - 1), st.sampled_from(CORRUPTIONS), st.data())
     def test_agrees_with_the_per_block_reader(self, seed, corruption, data):
@@ -565,7 +568,7 @@ class TestCli:
             warnings.simplefilter("error", RuntimeWarning)
             for a, b in ((z, 0j), (0j, z)):
                 assert coherent.truncation_defect(a, b, 4, 4) == 1.0
-                assert max(coherent.required_truncation(a, b, 1e-8)) == 100_000
+                assert max(coherent.required_truncation(a, b)) == 100_000
                 for build in (coherent.coherent_state, coherent.uncertainty_product):
                     with pytest.raises(TruncationTooSevere):
                         build(fs, a, b)
